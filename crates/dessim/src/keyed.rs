@@ -1,11 +1,11 @@
-//! A future-event list ordered by a caller-supplied key instead of insertion order.
+//! The future-event list, ordered by time and a caller-supplied key.
 //!
-//! [`EventQueue`](crate::EventQueue) breaks timestamp ties by insertion sequence, which
-//! makes the pop order depend on *when* events were scheduled. A parallel engine that
-//! merges events produced concurrently by several workers cannot reproduce one global
-//! insertion order, so it needs tie-breaking that is a pure function of the event itself.
-//! [`KeyedQueue`] orders events by `(time, key)` where the key is supplied by the caller
-//! at push time — identical event sets pop identically no matter who pushed them first.
+//! [`KeyedQueue`] orders events by `(time, key)` and breaks remaining ties by insertion
+//! sequence. With the unit key `()` that is plain schedule order, which is what the
+//! [`Simulator`](crate::Simulator) uses. A parallel engine that merges events produced
+//! concurrently by several workers cannot reproduce one global insertion order, so it
+//! supplies unique keys instead — identical event sets then pop identically no matter
+//! who pushed them first.
 
 use crate::event::EventId;
 use crate::time::SimTime;
@@ -46,7 +46,8 @@ impl<K: Ord, E> Ord for KeyedEntry<K, E> {
 
 /// A priority queue of timestamped events ordered by `(time, key)` with lazy cancellation.
 ///
-/// * Events pop in ascending `(time, key)` order regardless of push order.
+/// * Events pop in ascending `(time, key)` order regardless of push order; equal
+///   `(time, key)` pairs pop in push order.
 /// * [`KeyedQueue::cancel`] marks an event dead in O(1); dead entries are skipped when
 ///   they reach the top of the heap.
 #[derive(Debug)]
@@ -191,6 +192,39 @@ mod tests {
         assert_eq!(q.len(), 2);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
         assert_eq!(order, vec!["a", "c"]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn unit_key_ties_pop_in_schedule_order() {
+        let mut q = KeyedQueue::new();
+        let t = SimTime::from_secs(1);
+        for i in 0..10 {
+            q.push(t, (), i);
+        }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn len_tracks_live_events() {
+        let mut q = KeyedQueue::new();
+        let a = q.push(SimTime::from_secs(1), (), ());
+        q.push(SimTime::from_secs(2), (), ());
+        assert_eq!(q.len(), 2);
+        q.cancel(a);
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn clear_empties_queue() {
+        let mut q = KeyedQueue::new();
+        q.push(SimTime::from_secs(1), (), ());
+        q.clear();
+        assert!(q.pop().is_none());
         assert!(q.is_empty());
     }
 

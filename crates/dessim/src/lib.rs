@@ -6,11 +6,10 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time, totally ordered,
 //!   with convenient conversions from floating-point seconds.
-//! * [`EventQueue`] — a binary-heap future-event list with stable (time, sequence)
-//!   ordering and O(1) amortised cancellation.
-//! * [`KeyedQueue`] — the same structure with caller-keyed tie-breaking, so event order
-//!   is a pure function of the event set (the sharded runtime merges concurrently
-//!   produced events through it).
+//! * [`KeyedQueue`] — a binary-heap future-event list ordered by (time, key, insertion
+//!   sequence) with O(1) amortised cancellation. The unit key gives plain schedule
+//!   order; caller-supplied unique keys make event order a pure function of the event
+//!   set (the sharded runtime merges concurrently produced events through it).
 //! * [`Simulator`] — the main loop: schedule events, pop them in time order, advance the
 //!   clock, and stop at a horizon or when the queue drains.
 //! * [`SeedSequence`] — reproducible derivation of independent RNG streams from a single
@@ -44,14 +43,12 @@
 
 pub mod event;
 pub mod keyed;
-pub mod queue;
 pub mod rng;
 pub mod sim;
 pub mod time;
 
 pub use event::EventId;
 pub use keyed::KeyedQueue;
-pub use queue::EventQueue;
 pub use rng::SeedSequence;
 pub use sim::{RunOutcome, Simulator};
 pub use time::{SimDuration, SimTime};

@@ -1,7 +1,7 @@
 //! The simulation main loop.
 
 use crate::event::EventId;
-use crate::queue::EventQueue;
+use crate::keyed::KeyedQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Why a call to [`Simulator::run_until`] returned.
@@ -17,14 +17,16 @@ pub enum RunOutcome {
     BudgetExhausted,
 }
 
-/// A discrete-event simulator: a clock plus a future-event list.
+/// A discrete-event simulator: a clock plus a future-event list. Events at the same
+/// instant fire in the order they were scheduled.
 ///
 /// The simulator is generic over the event payload type `E`; the domain layers
 /// (`ssmcast-manet` and the protocol crates) define their own event enums. The engine
 /// never inspects payloads — it only orders them in time.
 #[derive(Debug)]
 pub struct Simulator<E> {
-    queue: EventQueue<E>,
+    /// Unit keys: timestamp ties break on insertion order.
+    queue: KeyedQueue<(), E>,
     now: SimTime,
     processed: u64,
     max_events: u64,
@@ -40,7 +42,7 @@ impl<E> Simulator<E> {
     /// Create a simulator with the clock at zero and no event budget.
     pub fn new() -> Self {
         Simulator {
-            queue: EventQueue::new(),
+            queue: KeyedQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
             max_events: u64::MAX,
@@ -50,7 +52,7 @@ impl<E> Simulator<E> {
     /// Create a simulator pre-allocating queue space for `cap` events.
     pub fn with_capacity(cap: usize) -> Self {
         Simulator {
-            queue: EventQueue::with_capacity(cap),
+            queue: KeyedQueue::with_capacity(cap),
             now: SimTime::ZERO,
             processed: 0,
             max_events: u64::MAX,
@@ -82,12 +84,12 @@ impl<E> Simulator<E> {
     /// (the event still fires, immediately after currently pending same-time events).
     pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
         let at = at.max(self.now);
-        self.queue.push(at, payload)
+        self.queue.push(at, (), payload)
     }
 
     /// Schedule an event `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimDuration, payload: E) -> EventId {
-        self.queue.push(self.now + delay, payload)
+        self.queue.push(self.now + delay, (), payload)
     }
 
     /// Cancel a pending event. Returns `true` if it had not fired yet.
@@ -97,7 +99,7 @@ impl<E> Simulator<E> {
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop_next(&mut self) -> Option<(SimTime, E)> {
-        let (t, _id, payload) = self.queue.pop()?;
+        let (t, (), payload) = self.queue.pop()?;
         debug_assert!(t >= self.now, "event queue must never run backwards");
         self.now = t;
         self.processed += 1;

@@ -7,9 +7,11 @@
 //! spatial stripes, each stripe's events drain on a worker thread, and shards advance in
 //! conservative lockstep windows bounded by the radio's minimum propagation delay.
 //! The sharded engine is deterministic and *shard-count invariant* — the same setup
-//! yields byte-identical reports at 1, 2 or 8 shards — but it is a different (documented)
-//! discretisation than the sequential loop, so the two modes are not byte-comparable to
-//! each other; see `EXPERIMENTS.md`.
+//! yields byte-identical reports at 1, 2 or 8 shards. It discretises the same physics
+//! slightly more coarsely than the sequential loop (sync-window positions, per-sender
+//! loss streams, delivery-time capture); on exact physics — stationary nodes, no
+//! channel loss, collisions off, no MAC jitter — those differences vanish and both
+//! engines produce byte-identical reports. See `EXPERIMENTS.md`.
 
 use serde::{Deserialize, Serialize};
 use ssmcast_dessim::SimDuration;
@@ -19,7 +21,8 @@ use ssmcast_dessim::SimDuration;
 pub struct EngineConfig {
     /// Number of spatial shards (worker threads). `0` — the default — selects the
     /// classic sequential engine; any positive count selects the sharded engine, whose
-    /// results are invariant in this number.
+    /// results are invariant in this number (and, on exact physics, byte-identical to
+    /// the sequential engine's).
     pub shards: u32,
     /// Cadence at which the sharded engine refreshes mobility positions and rebuilds
     /// its spatial index (the sequential engine moves nodes continuously). Smaller

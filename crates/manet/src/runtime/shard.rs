@@ -1,9 +1,9 @@
 //! The region-sharded parallel engine.
 //!
 //! Nodes are partitioned into `k` spatial stripes (sorted by initial x-position);
-//! each stripe owns a [`KeyedQueue`] drained by a worker thread. Shards advance in
-//! **conservative synchronization windows**: with `m` the earliest pending event
-//! anywhere and `δ` the radio's fixed propagation delay, every event in `[m, b]`
+//! each stripe's [`NodeCore`] and [`KeyedQueue`] are drained by a worker thread. Shards
+//! advance in **conservative synchronization windows**: with `m` the earliest pending
+//! event anywhere and `δ` the radio's fixed propagation delay, every event in `[m, b]`
 //! with `b ≤ m + δ − 1 ns` can only spawn *cross-shard* arrivals at `≥ m + δ > b`,
 //! so a round that drains all events `≤ b` never misses a remote event. The only
 //! cross-shard event class is packet delivery (timers, MAC retries and application
@@ -13,34 +13,25 @@
 //! **Determinism.** Every event carries a canonical key and queues pop in
 //! `(time, key)` order, so each node's event sequence is a pure function of the
 //! global event set — *invariant of the shard count*. The same setup produces
-//! byte-identical reports at 1, 2 or 8 shards. The sharded engine is, however, a
-//! different (documented) discretisation than the sequential loop: positions
-//! quantise to sync-window refresh points, channel-loss draws come from per-sender
-//! `"shard-loss"` streams, and a few guard orderings differ — see `EXPERIMENTS.md`
-//! for the full list. Floating-point accumulation is made order-independent by
-//! keeping per-`(session, node)` energy accumulators and reducing them in ascending
-//! global node order.
+//! byte-identical reports at 1, 2 or 8 shards. What this engine does differently from
+//! the sequential loop lives in its [`Fabric`]: positions quantise to sync-window
+//! refresh points, channel-loss draws come from per-sender `"shard-loss"` streams,
+//! capture and receiver guards run at delivery time, and per-session energy is kept
+//! per `(session, node)` and reduced in ascending global node order. On exact physics
+//! (stationary nodes, no loss, no collisions, no MAC jitter) those differences vanish
+//! and the two engines' reports are byte-identical — see `EXPERIMENTS.md`.
 
-use super::{NetworkSim, SimSetup};
-use crate::agent::{Action, Disposition, NodeCtx, ProtocolAgent};
-use crate::battery::{Battery, EnergyUse};
-use crate::channel::Channel;
-use crate::faults::{FaultKind, ProbeContext, SessionProbe, StabilizationObserver};
+use super::core::{Fabric, Fleet, Layout, NetEvent, NodeCore, ProbeScratch};
+use super::{attach_convergence, probe_epoch, NetworkSim};
+use crate::agent::ProtocolAgent;
+use crate::faults::{FaultKind, StabilizationObserver};
 use crate::geometry::Vec2;
-use crate::harvest::HarvestPlan;
-use crate::lifecycle::DutySchedule;
-use crate::mac::{MacDecision, MacFrame, MacPolicy};
-use crate::node::{GroupRole, NodeId};
-use crate::packet::{DataTag, Packet, PacketClass};
-use crate::report::{GroupAccounting, SimReport, Trace};
-use crate::session::MembershipChange;
+use crate::node::NodeId;
+use crate::report::SimReport;
 use crate::snapshot::TopologySnapshot;
 use crate::spatial::SpatialIndex;
-use rand::rngs::StdRng;
-use rand::Rng;
 use ssmcast_dessim::{EventId, KeyedQueue, SimDuration, SimTime};
-use ssmcast_metrics::{CurveRing, EngineStats, MacStats};
-use std::collections::HashMap;
+use ssmcast_metrics::EngineStats;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
@@ -59,180 +50,75 @@ const RANK_DELIVER: u8 = 4;
 const RANK_MACRETRY: u8 = 5;
 const RANK_HARVEST: u8 = 6;
 
-/// A packet copy travelling to one receiver; the cross-shard event class.
-struct DeliverIntent<P> {
-    session: u16,
-    sender: NodeId,
-    rx: NodeId,
-    class: PacketClass,
-    size_bytes: u32,
-    data: Option<DataTag>,
-    payload: P,
-    /// Transmission start (drives carrier capture and TDMA slot learning).
-    tx_start: SimTime,
-    /// Transmission end (drives carrier capture).
-    tx_end: SimTime,
-    /// Lost to noise — drawn from the *sender's* loss stream at send time so the draw
-    /// order is partition-independent.
-    lost: bool,
-    /// MAC state snapshotted on the sender's shard at transmit time
-    /// ([`MacPolicy::piggyback_row`]) — TDMA's 2-hop claim table, shipped across the
-    /// shard boundary so the receiver's per-shard MAC replica reads the same claims a
-    /// global instance would.
-    piggyback: Option<Arc<[u16]>>,
-}
-
-/// Events flowing through one shard's queue.
-enum ShardEvent<P> {
-    /// A seeded fault (never `Blackout` — those apply on the coordinator; in probed
-    /// runs *every* seeded fault applies on the coordinator and only crash-scheduled
-    /// rejoins travel through shard queues). The `u64` is the fault's plan index,
-    /// which keys crash-scheduled rejoins.
-    Fault(FaultKind, u64),
-    /// A depleted, energy-harvesting node banked its wake threshold: recharge and
-    /// revive it. Node-local, so it queues on the owning shard (see
-    /// [`crate::harvest`]).
-    HarvestWake {
-        node: NodeId,
-    },
-    Membership {
-        session: u16,
-        node: NodeId,
-        change: MembershipChange,
-    },
-    AppSend {
-        session: u16,
-        seq: u64,
-    },
-    Timer {
-        session: u16,
-        node: NodeId,
-        kind: u64,
-        key: u64,
-    },
-    Deliver(DeliverIntent<P>),
-    MacRetry {
-        session: u16,
-        sender: NodeId,
-        class: PacketClass,
-        size_bytes: u32,
-        range_m: f64,
-        data: Option<DataTag>,
-        payload: P,
-        attempt: u32,
-        requested_at: SimTime,
-    },
-}
-
 /// Positions, spatial index and blackout horizons frozen between coordinator
 /// refreshes. Workers take one read lock per round; the coordinator write-locks only
 /// while every worker waits at the round barrier.
 struct Frozen {
     positions: Vec<Vec2>,
     index: SpatialIndex,
-    blackout_until: Vec<SimTime>,
-    /// Per-session recovery flag for the steady-vs-recovery control-byte split,
-    /// refreshed by the coordinator after every observer notification (all-false — and
-    /// the shard counters unused — when beacon suppression is off).
-    recovering: Vec<bool>,
+    /// Blackout horizon per node, nanos. Raised only by the coordinator while every
+    /// worker waits at the round barrier, which orders the write before the workers'
+    /// next reads — so `Relaxed` suffices.
+    blackout_until: Vec<AtomicU64>,
 }
 
 impl Frozen {
     fn is_blacked_out(&self, n: NodeId, t: SimTime) -> bool {
-        t < self.blackout_until[n.index()]
-    }
-
-    /// Every node other than `sender` within `range` of `center`, ascending node id,
-    /// blacked-out nodes excluded — the frozen mirror of
-    /// [`crate::medium::RadioMedium::receivers_within`].
-    fn receivers_within(
-        &self,
-        sender: NodeId,
-        center: Vec2,
-        range: f64,
-        t: SimTime,
-        out: &mut Vec<NodeId>,
-    ) {
-        self.index.query_disc(center, range, &self.positions, out);
-        out.retain(|&id| id != sender && !self.is_blacked_out(id, t));
-    }
-
-    fn farthest_distance(&self, center: Vec2, ids: &[NodeId]) -> f64 {
-        ids.iter().map(|&id| self.positions[id.index()].distance(&center)).fold(0.0, f64::max)
+        t.as_nanos() < self.blackout_until[n.index()].load(Ordering::Relaxed)
     }
 }
 
-/// Everything one worker owns: its stripe's queue, agents, per-node state, and its own
-/// replicas of the network-global tables (memberships, channel, MAC) that every shard
-/// must agree on.
-struct ShardState<A: ProtocolAgent> {
-    /// Owned node ids, ascending.
-    owned: Vec<u32>,
-    queue: KeyedQueue<Key, ShardEvent<A::Payload>>,
-    /// `agents[session * owned.len() + local]`.
-    agents: Vec<A>,
-    /// Per-local protocol RNG (same `"protocol"` stream as the sequential engine).
-    rngs: Vec<StdRng>,
-    /// Per-local channel-loss RNG (`"shard-loss"` stream, indexed by global node id).
-    loss_rngs: Vec<StdRng>,
-    batteries: Vec<Battery>,
-    crashed: Vec<bool>,
-    accrued_until: Vec<SimTime>,
-    death_at: Vec<Option<SimTime>>,
+/// One shard's event queue and the per-node counters that make its keys unique.
+struct ShardQueue<P> {
+    events: KeyedQueue<Key, NetEvent<P>>,
     /// Per-local transmission counter — makes every delivery key unique per sender.
     tx_seq: Vec<u64>,
     /// Per-local MAC-retry counter — makes every retry key unique per sender.
     mac_seq: Vec<u64>,
     /// Per-local harvest-wake counter — makes every wake key unique per node.
     harvest_seq: Vec<u64>,
-    /// Earliest depletion among owned nodes — harvest wakes may later clear
-    /// `death_at`, so the surviving entries alone would under-report.
-    first_depletion: Option<SimTime>,
-    /// Full `n × sessions` membership replica (every shard applies every churn event,
-    /// so roles and receiver counts agree everywhere without synchronization).
-    memberships: Vec<GroupRole>,
-    receiver_counts: Vec<u64>,
-    joins: Vec<u64>,
-    leaves: Vec<u64>,
-    traces: Vec<Trace>,
-    /// `energy[session * owned.len() + local]` — reduced in global node order at the
-    /// end so the floating-point sum is partition-independent.
-    energy_acc: Vec<f64>,
-    overhear_acc: Vec<f64>,
-    /// Full-width channel replica; only the owned receivers' slots are ever touched.
-    channel: Channel,
-    /// Full-width MAC replica (prepared for sharding; only owned nodes' state is read).
-    mac: Box<dyn MacPolicy>,
-    duty: DutySchedule,
-    mac_requested: u64,
-    mac_sent: u64,
-    mac_drops: u64,
-    mac_deferrals: u64,
-    mac_access_delay: SimDuration,
-    mac_airtime: SimDuration,
-    /// Pending timers keyed by `(node, session, kind, key)`.
-    timers: HashMap<(u32, u16, u64, u64), EventId>,
-    scratch_actions: Vec<Action<A::Payload>>,
-    scratch_receivers: Vec<NodeId>,
-    /// Per-session (packets, bytes) of control traffic this shard's nodes sent while
-    /// steady / recovering (only filled when beacon suppression is on).
-    silence_steady: Vec<(u64, u64)>,
-    silence_recovery: Vec<(u64, u64)>,
+    /// Transmission counter of the frame whose copies are being delivered.
+    frame: u64,
     /// Earliest cross-shard push made this round, nanos (`u64::MAX` when none). Folded
     /// into the published minimum so the coordinator's window bound covers events
     /// sitting in lanes that their destination has not drained yet.
     round_lane_min: u64,
+}
+
+impl<P> ShardQueue<P> {
+    fn new(cnt: usize) -> Self {
+        ShardQueue {
+            events: KeyedQueue::with_capacity(256),
+            tx_seq: vec![0; cnt],
+            mac_seq: vec![0; cnt],
+            harvest_seq: vec![0; cnt],
+            frame: 0,
+            round_lane_min: u64::MAX,
+        }
+    }
+
+    /// Earliest event this shard still has to account for, nanos: its own queue and
+    /// its undrained lane pushes.
+    fn min(&mut self) -> u64 {
+        self.events.peek_time().map_or(u64::MAX, SimTime::as_nanos).min(self.round_lane_min)
+    }
+}
+
+/// Everything one worker owns: its stripe's node-state core and its queue.
+struct Shard<A: ProtocolAgent> {
+    core: NodeCore<A>,
+    queue: ShardQueue<A::Payload>,
     events_processed: u64,
     peak_depth: u64,
 }
 
 /// One cross-shard mailbox: timestamped, canonically-keyed events from a single
 /// source shard, drained by the destination at the start of its next round.
-type Lane<P> = Mutex<Vec<(SimTime, Key, ShardEvent<P>)>>;
+type Lane<P> = Mutex<Vec<(SimTime, Key, NetEvent<P>)>>;
 
 /// State shared between the coordinator and the workers.
 struct Shared<A: ProtocolAgent> {
-    shards: Vec<Mutex<ShardState<A>>>,
+    shards: Vec<Mutex<Shard<A>>>,
     /// `lanes[dst][src]`: cross-shard deliveries from `src` to `dst`.
     lanes: Vec<Vec<Lane<A::Payload>>>,
     frozen: RwLock<Frozen>,
@@ -256,695 +142,172 @@ fn pread<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Immutable context every worker shares.
-struct Ctx<'a> {
-    setup: &'a SimSetup,
-    /// Materialised per-node harvest rates (inert when harvesting is off).
-    harvest: &'a HarvestPlan,
-    /// Global node id → shard.
-    shard_of: &'a [u32],
-    /// Global node id → index in its shard's `owned`.
-    local_of: &'a [u32],
+/// Shard `w`'s fabric for one stretch of work: the frozen topology, its own queue,
+/// and the lanes into every other shard.
+struct ShardIo<'a, P> {
+    queue: &'a mut ShardQueue<P>,
+    frozen: &'a Frozen,
+    lanes: &'a [Vec<Lane<P>>],
+    layout: &'a Layout,
+    w: usize,
 }
 
-impl<A: ProtocolAgent> ShardState<A> {
-    fn eidx(&self, session: usize, local: usize) -> usize {
-        session * self.owned.len() + local
+impl<P> Fabric<P> for ShardIo<'_, P> {
+    const PER_SENDER_LOSS: bool = true;
+    const GUARDS_AT_DELIVERY: bool = true;
+    const NODE_ORDER_ENERGY: bool = true;
+
+    fn local(&self, node: NodeId) -> usize {
+        self.layout.local_of[node.index()] as usize
     }
 
-    /// Record a local node's death the first time its battery is observed depleted —
-    /// the sharded mirror of `NetworkSim::note_death`. With harvesting enabled, also
-    /// schedule the node's harvest-until-threshold wake on this shard's own queue
-    /// (wakes are node-local, so they never cross a shard boundary); `death_at[local]`
-    /// guards re-entry, exactly once per depletion episode.
-    fn note_death(&mut self, cx: &Ctx<'_>, local: usize, t: SimTime) {
-        if self.death_at[local].is_none() && self.batteries[local].is_depleted() {
-            self.death_at[local] = Some(t);
-            self.first_depletion = Some(self.first_depletion.map_or(t, |f| f.min(t)));
-            let node = NodeId(self.owned[local]);
-            if let Some(delay) = cx.harvest.wake_delay(node) {
-                if let Some(at) = t.checked_add(delay) {
-                    let seq = self.harvest_seq[local];
-                    self.harvest_seq[local] += 1;
-                    let k: Key = (RANK_HARVEST, node.0 as u64, seq, 0, 0);
-                    self.queue.push(at, k, ShardEvent::HarvestWake { node });
-                }
-            }
-        }
+    fn position(&mut self, node: NodeId, _t: SimTime) -> Vec2 {
+        self.frozen.positions[node.index()]
     }
 
-    /// The sharded mirror of `NetworkSim::accrue_idle`.
-    fn accrue_idle(&mut self, cx: &Ctx<'_>, local: usize, node: NodeId, t: SimTime) {
-        if !cx.setup.lifecycle.has_continuous_drain() {
-            return;
-        }
-        let from = self.accrued_until[local];
-        if t <= from {
-            return;
-        }
-        self.accrued_until[local] = t;
-        if self.batteries[local].is_depleted() {
-            return;
-        }
-        let awake = self.duty.awake_between(node, from, t);
-        let asleep = t.saturating_since(from) - awake;
-        let lc = cx.setup.lifecycle;
-        if lc.idle_listen_w > 0.0 {
-            self.batteries[local]
-                .accept(lc.idle_listen_w * awake.as_secs_f64(), EnergyUse::IdleListen);
-        }
-        if lc.sleep_w > 0.0 {
-            self.batteries[local].accept(lc.sleep_w * asleep.as_secs_f64(), EnergyUse::Sleep);
-        }
-        self.note_death(cx, local, t);
+    fn is_blacked_out(&self, node: NodeId, t: SimTime) -> bool {
+        self.frozen.is_blacked_out(node, t)
     }
 
-    fn accrue_all(&mut self, cx: &Ctx<'_>, t: SimTime) {
-        if !cx.setup.lifecycle.has_continuous_drain() {
-            return;
-        }
-        for li in 0..self.owned.len() {
-            let node = NodeId(self.owned[li]);
-            self.accrue_idle(cx, li, node, t);
-        }
+    fn set_blackout(&mut self, node: NodeId, until: SimTime) {
+        self.frozen.blackout_until[node.index()].fetch_max(until.as_nanos(), Ordering::Relaxed);
     }
 
-    /// Bucket one control transmission into the steady or recovery phase — the sharded
-    /// mirror of `NetworkSim::record_silence_control`. `recovering` comes from the
-    /// frozen state, where the coordinator refreshes it at observer instants.
-    fn record_silence_control(
+    fn receivers_within(
         &mut self,
-        enabled: bool,
-        recovering: &[bool],
-        session: usize,
-        size_bytes: u32,
+        sender: NodeId,
+        center: Vec2,
+        range: f64,
+        t: SimTime,
+        out: &mut Vec<NodeId>,
     ) {
-        if !enabled {
-            return;
-        }
-        let bucket = if recovering[session] {
-            &mut self.silence_recovery[session]
-        } else {
-            &mut self.silence_steady[session]
+        self.frozen.index.query_disc(center, range, &self.frozen.positions, out);
+        out.retain(|&id| id != sender && !self.frozen.is_blacked_out(id, t));
+    }
+
+    fn farthest_distance(&mut self, center: Vec2, ids: &[NodeId], _t: SimTime) -> f64 {
+        let positions = &self.frozen.positions;
+        ids.iter().map(|&id| positions[id.index()].distance(&center)).fold(0.0, f64::max)
+    }
+
+    fn schedule(&mut self, at: SimTime, ev: NetEvent<P>) -> EventId {
+        let key: Key = match &ev {
+            NetEvent::Timer { session, node, kind, key } => {
+                (RANK_TIMER, node.0 as u64, *session as u64, *kind, *key)
+            }
+            NetEvent::AppSend { session, seq } => (RANK_APPSEND, *session as u64, *seq, 0, 0),
+            NetEvent::MacRetry { sender, .. } => {
+                let li = self.local(*sender);
+                let seq = self.queue.mac_seq[li];
+                self.queue.mac_seq[li] += 1;
+                (RANK_MACRETRY, sender.0 as u64, seq, 0, 0)
+            }
+            NetEvent::HarvestWake { node } => {
+                let li = self.local(*node);
+                let seq = self.queue.harvest_seq[li];
+                self.queue.harvest_seq[li] += 1;
+                (RANK_HARVEST, node.0 as u64, seq, 0, 0)
+            }
+            // The only fault a core schedules is a crash's rejoin, keyed after the
+            // crash's own plan entry.
+            NetEvent::Fault(_, plan_idx) => (RANK_FAULT, *plan_idx, 1, 0, 0),
+            NetEvent::Membership { .. } | NetEvent::Deliver { .. } => {
+                unreachable!("churn is seeded up front and frames travel through `deliver`")
+            }
         };
-        bucket.0 += 1;
-        bucket.1 += u64::from(size_bytes);
+        self.queue.events.push(at, key, ev)
     }
 
-    /// Apply one churn event to this shard's full membership replica (the sharded
-    /// mirror of `NetworkSim::apply_membership`).
-    fn apply_membership(
-        &mut self,
-        n_nodes: usize,
-        session: usize,
-        node: NodeId,
-        change: MembershipChange,
-    ) {
-        let idx = session * n_nodes + node.index();
-        match (change, self.memberships[idx]) {
-            (MembershipChange::Join, GroupRole::NonMember) => {
-                self.memberships[idx] = GroupRole::Member;
-                self.receiver_counts[session] += 1;
-                self.joins[session] += 1;
-            }
-            (MembershipChange::Leave, GroupRole::Member) => {
-                self.memberships[idx] = GroupRole::NonMember;
-                self.receiver_counts[session] -= 1;
-                self.leaves[session] += 1;
-            }
-            _ => {}
+    fn cancel(&mut self, id: EventId) {
+        self.queue.events.cancel(id);
+    }
+
+    fn begin_frame(&mut self, sender: NodeId) {
+        let li = self.local(sender);
+        self.queue.frame = self.queue.tx_seq[li];
+        self.queue.tx_seq[li] += 1;
+    }
+
+    fn deliver(&mut self, at: SimTime, sender: NodeId, rx: NodeId, ev: NetEvent<P>) {
+        let key: Key = (RANK_DELIVER, sender.0 as u64, self.queue.frame, rx.0 as u64, 0);
+        let dst = self.layout.shard_of[rx.index()] as usize;
+        if dst == self.w {
+            self.queue.events.push(at, key, ev);
+        } else {
+            plock(&self.lanes[dst][self.w]).push((at, key, ev));
+            self.queue.round_lane_min = self.queue.round_lane_min.min(at.as_nanos());
         }
     }
 }
 
 /// Build the spatial partition: nodes sorted by initial `(x, y, id)` and cut into `k`
 /// contiguous stripes; each stripe's owned list is then re-sorted ascending by id.
-/// Returns `(owned_per_shard, shard_of, local_of)`.
-fn partition(positions: &[Vec2], k: usize) -> (Vec<Vec<u32>>, Vec<u32>, Vec<u32>) {
+fn partition(positions: &[Vec2], k: usize) -> (Vec<Vec<u32>>, Layout) {
     let n = positions.len();
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_by(|&a, &b| {
         let (pa, pb) = (positions[a as usize], positions[b as usize]);
         pa.x.total_cmp(&pb.x).then(pa.y.total_cmp(&pb.y)).then(a.cmp(&b))
     });
-    let mut owned: Vec<Vec<u32>> = Vec::with_capacity(k);
-    for w in 0..k {
-        let start = w * n / k;
-        let end = (w + 1) * n / k;
-        let mut ids: Vec<u32> = order[start..end].to_vec();
-        ids.sort_unstable();
-        owned.push(ids);
-    }
-    let mut shard_of = vec![0u32; n];
-    let mut local_of = vec![0u32; n];
-    for (w, ids) in owned.iter().enumerate() {
-        for (li, &gi) in ids.iter().enumerate() {
-            shard_of[gi as usize] = w as u32;
-            local_of[gi as usize] = li as u32;
-        }
-    }
-    (owned, shard_of, local_of)
+    let owned: Vec<Vec<u32>> = (0..k)
+        .map(|w| {
+            let mut ids = order[w * n / k..(w + 1) * n / k].to_vec();
+            ids.sort_unstable();
+            ids
+        })
+        .collect();
+    let layout = Layout::striped(&owned, n);
+    (owned, layout)
 }
 
-/// Push a cross-shard delivery into the destination's lane and fold its time into this
-/// shard's published minimum for the round.
-fn push_remote<A: ProtocolAgent>(
+/// Coordinator-side work on shard `w` (workers are parked at the barrier): run `f` on
+/// its core through a fabric over the frozen state, then fold the shard's new minimum
+/// into its published one — accrual may schedule harvest wakes, and faults may queue
+/// rejoins, timers and frames.
+fn with_shard<A: ProtocolAgent, R>(
     shared: &Shared<A>,
-    st: &mut ShardState<A>,
-    src: usize,
-    dst: usize,
-    at: SimTime,
-    key: Key,
-    ev: ShardEvent<A::Payload>,
-) {
-    plock(&shared.lanes[dst][src]).push((at, key, ev));
-    st.round_lane_min = st.round_lane_min.min(at.as_nanos());
-}
-
-/// Run one agent callback and apply the actions it queued — the sharded mirror of
-/// `NetworkSim::make_ctx_and_call`.
-#[allow(clippy::too_many_arguments)]
-fn with_agent<A: ProtocolAgent, F>(
-    st: &mut ShardState<A>,
-    fz: &Frozen,
-    cx: &Ctx<'_>,
-    shared: &Shared<A>,
+    layout: &Layout,
     w: usize,
-    session: usize,
-    node: NodeId,
-    t: SimTime,
-    f: F,
-) where
-    F: FnOnce(&mut A, &mut NodeCtx<'_, A::Payload>),
-{
-    let li = cx.local_of[node.index()] as usize;
-    let pos = fz.positions[node.index()];
-    let role = st.memberships[session * cx.setup.n_nodes + node.index()];
-    let ai = st.eidx(session, li);
-    let mut actions = std::mem::take(&mut st.scratch_actions);
-    actions.clear();
-    {
-        let mut ctx = NodeCtx::new(
-            t,
-            node,
-            pos,
-            role,
-            cx.setup.n_nodes,
-            &cx.setup.radio,
-            &mut st.rngs[li],
-            &mut actions,
-        );
-        f(&mut st.agents[ai], &mut ctx);
+    f: impl FnOnce(&mut NodeCore<A>, &mut ShardIo<'_, A::Payload>) -> R,
+) -> R {
+    let fz = pread(&shared.frozen);
+    let mut guard = plock(&shared.shards[w]);
+    let Shard { core, queue, .. } = &mut *guard;
+    let mut io = ShardIo { queue, frozen: &fz, lanes: &shared.lanes, layout, w };
+    let out = f(core, &mut io);
+    let m = io.queue.min();
+    if m < shared.mins[w].load(Ordering::Acquire) {
+        shared.mins[w].store(m, Ordering::Release);
     }
-    apply_actions(st, fz, cx, shared, w, session, node, t, &mut actions);
-    st.scratch_actions = actions;
-}
-
-#[allow(clippy::too_many_arguments)]
-fn apply_actions<A: ProtocolAgent>(
-    st: &mut ShardState<A>,
-    fz: &Frozen,
-    cx: &Ctx<'_>,
-    shared: &Shared<A>,
-    w: usize,
-    session: usize,
-    node: NodeId,
-    t: SimTime,
-    actions: &mut Vec<Action<A::Payload>>,
-) {
-    for action in actions.drain(..) {
-        match action {
-            Action::Broadcast { class, size_bytes, range_m, data, payload } => {
-                try_send(
-                    st, fz, cx, shared, w, session, node, t, class, size_bytes, range_m, data,
-                    payload, 0, t,
-                );
-            }
-            Action::SetTimer { delay, kind, key } => {
-                let at = t + delay;
-                let k: Key = (RANK_TIMER, node.0 as u64, session as u64, kind, key);
-                let ev = ShardEvent::Timer { session: session as u16, node, kind, key };
-                let id = st.queue.push(at, k, ev);
-                if let Some(old) = st.timers.insert((node.0, session as u16, kind, key), id) {
-                    st.queue.cancel(old);
-                }
-            }
-            Action::CancelTimer { kind, key } => {
-                if let Some(id) = st.timers.remove(&(node.0, session as u16, kind, key)) {
-                    st.queue.cancel(id);
-                }
-            }
-            Action::DeliverData { tag } => {
-                let idx = session * cx.setup.n_nodes + node.index();
-                if matches!(st.memberships[idx], GroupRole::Member) {
-                    st.traces[session].record_delivery(&tag, node, t);
-                }
-            }
-        }
-    }
-}
-
-/// One MAC-mediated transmission attempt — the sharded mirror of
-/// `NetworkSim::try_send`. Deliveries to owned receivers go straight into this shard's
-/// queue; the rest travel through lanes.
-#[allow(clippy::too_many_arguments)]
-fn try_send<A: ProtocolAgent>(
-    st: &mut ShardState<A>,
-    fz: &Frozen,
-    cx: &Ctx<'_>,
-    shared: &Shared<A>,
-    w: usize,
-    session: usize,
-    sender: NodeId,
-    t: SimTime,
-    class: PacketClass,
-    size_bytes: u32,
-    range_m: f64,
-    data: Option<DataTag>,
-    payload: A::Payload,
-    attempt: u32,
-    requested_at: SimTime,
-) {
-    let li = cx.local_of[sender.index()] as usize;
-    st.accrue_idle(cx, li, sender, t);
-    if st.batteries[li].is_depleted() || st.crashed[li] {
-        return;
-    }
-    let radio = cx.setup.radio;
-    let range = radio.clamp_range(range_m);
-    let usage = match class {
-        PacketClass::Control => EnergyUse::TxControl,
-        PacketClass::Data => EnergyUse::TxData,
-    };
-    // A blacked-out sender pays for the transmission but nobody hears it (and the MAC
-    // never sees the frame) — same rule as the sequential engine.
-    if fz.is_blacked_out(sender, t) {
-        let accepted = st.batteries[li].accept(radio.energy.tx_energy(range, size_bytes), usage);
-        st.note_death(cx, li, t);
-        let ei = st.eidx(session, li);
-        st.energy_acc[ei] += accepted;
-        match class {
-            PacketClass::Control => {
-                st.traces[session].record_control_tx(size_bytes);
-                st.record_silence_control(
-                    cx.setup.silence.enabled,
-                    &fz.recovering,
-                    session,
-                    size_bytes,
-                );
-            }
-            PacketClass::Data => st.traces[session].record_data_tx(size_bytes),
-        }
-        return;
-    }
-    if attempt == 0 {
-        st.mac_requested += 1;
-    }
-    let frame = MacFrame { sender, class, size_bytes, attempt };
-    let decision = st.mac.access(&frame, t, &radio, &st.channel, &mut st.loss_rngs[li]);
-    let tx_start = match decision {
-        MacDecision::Drop => {
-            st.mac_drops += 1;
-            return;
-        }
-        MacDecision::Defer { until } => {
-            st.mac_deferrals += 1;
-            let seq = st.mac_seq[li];
-            st.mac_seq[li] += 1;
-            let k: Key = (RANK_MACRETRY, sender.0 as u64, seq, 0, 0);
-            let ev = ShardEvent::MacRetry {
-                session: session as u16,
-                sender,
-                class,
-                size_bytes,
-                range_m: range,
-                data,
-                payload,
-                attempt: attempt + 1,
-                requested_at,
-            };
-            st.queue.push(until.max(t), k, ev);
-            return;
-        }
-        MacDecision::Transmit { at } => at.max(t),
-    };
-    st.mac_sent += 1;
-    st.mac_access_delay += tx_start.saturating_since(requested_at);
-    st.mac_airtime += radio.tx_duration(size_bytes);
-    let sender_pos = fz.positions[sender.index()];
-    let mut receivers = std::mem::take(&mut st.scratch_receivers);
-    fz.receivers_within(sender, sender_pos, range, t, &mut receivers);
-    let tx_end = tx_start + radio.tx_duration(size_bytes);
-    let delivery_at = tx_start + radio.delivery_delay(size_bytes);
-    let lc = cx.setup.lifecycle;
-    let tx_range = if lc.tx_power_control {
-        // Duty-aware pricing (opt-in): receivers provably asleep at the delivery
-        // instant leave the pricing set — the sharded mirror of
-        // `NetworkSim::try_send`'s rule.
-        if lc.duty_aware_pricing && st.duty.is_on() {
-            let priced: Vec<NodeId> =
-                receivers.iter().copied().filter(|&rx| st.duty.is_awake(rx, delivery_at)).collect();
-            fz.farthest_distance(sender_pos, &priced).min(range)
-        } else {
-            fz.farthest_distance(sender_pos, &receivers).min(range)
-        }
-    } else {
-        range
-    };
-    let accepted = st.batteries[li].accept(radio.energy.tx_energy(tx_range, size_bytes), usage);
-    st.note_death(cx, li, t);
-    let ei = st.eidx(session, li);
-    st.energy_acc[ei] += accepted;
-    match class {
-        PacketClass::Control => {
-            st.traces[session].record_control_tx(size_bytes);
-            st.record_silence_control(
-                cx.setup.silence.enabled,
-                &fz.recovering,
-                session,
-                size_bytes,
-            );
-        }
-        PacketClass::Data => st.traces[session].record_data_tx(size_bytes),
-    }
-    let txs = st.tx_seq[li];
-    st.tx_seq[li] += 1;
-    // MAC state rides the frame across shard boundaries: snapshotted once on the
-    // sender's shard (whose replica owns the sender's rows) and shared by every copy.
-    let piggyback: Option<Arc<[u16]>> = st.mac.piggyback_row(sender, class).map(Arc::from);
-    // Loss is drawn from the sender's stream for every receiver in ascending order
-    // (including depleted ones — their liveness is checked on their own shard at
-    // delivery time), so the draw sequence is a pure function of the frozen topology.
-    for &rx in &receivers {
-        let lost = st.loss_rngs[li].gen::<f64>() < radio.loss_probability;
-        let k: Key = (RANK_DELIVER, sender.0 as u64, txs, rx.0 as u64, 0);
-        let intent = DeliverIntent {
-            session: session as u16,
-            sender,
-            rx,
-            class,
-            size_bytes,
-            data,
-            payload: payload.clone(),
-            tx_start,
-            tx_end,
-            lost,
-            piggyback: piggyback.clone(),
-        };
-        let dst = cx.shard_of[rx.index()] as usize;
-        if dst == w {
-            st.queue.push(delivery_at, k, ShardEvent::Deliver(intent));
-        } else {
-            push_remote(shared, st, w, dst, delivery_at, k, ShardEvent::Deliver(intent));
-        }
-    }
-    st.scratch_receivers = receivers;
-}
-
-/// Apply one worker-side fault (`Blackout` never reaches here). Mirrors
-/// `NetworkSim::apply_fault`; returns whether the fault actually changed anything.
-#[allow(clippy::too_many_arguments)]
-fn apply_fault_sharded<A: ProtocolAgent>(
-    st: &mut ShardState<A>,
-    fz: &Frozen,
-    cx: &Ctx<'_>,
-    shared: &Shared<A>,
-    w: usize,
-    t: SimTime,
-    kind: FaultKind,
-    plan_idx: u64,
-) -> bool {
-    let node = kind.node();
-    let li = cx.local_of[node.index()] as usize;
-    st.accrue_idle(cx, li, node, t);
-    match kind {
-        FaultKind::Corrupt { node } => {
-            let up = !st.crashed[li] && !st.batteries[li].is_depleted();
-            if up {
-                for session in 0..cx.setup.n_sessions() {
-                    let ai = st.eidx(session, li);
-                    // Split borrow: agents and rngs are disjoint fields.
-                    let ShardState { agents, rngs, .. } = st;
-                    agents[ai].corrupt_state(&mut rngs[li]);
-                }
-                // Mirror the sequential engine's second pass: suppressed agents re-arm
-                // their beacon timers at the base cadence.
-                for session in 0..cx.setup.n_sessions() {
-                    with_agent(st, fz, cx, shared, w, session, node, t, |agent, ctx| {
-                        agent.on_corrupted(ctx)
-                    });
-                }
-                st.mac.corrupt(node);
-            }
-            up
-        }
-        FaultKind::Crash { node: _, down_for } => {
-            if st.crashed[li] || st.batteries[li].is_depleted() {
-                return false;
-            }
-            st.crashed[li] = true;
-            if down_for != SimDuration::MAX {
-                if let Some(at) = t.checked_add(down_for) {
-                    let k: Key = (RANK_FAULT, plan_idx, 1, 0, 0);
-                    st.queue.push(at, k, ShardEvent::Fault(FaultKind::Rejoin { node }, plan_idx));
-                }
-            }
-            true
-        }
-        FaultKind::Rejoin { node } => {
-            let was_down = st.crashed[li];
-            if was_down {
-                st.crashed[li] = false;
-                for session in 0..cx.setup.n_sessions() {
-                    with_agent(st, fz, cx, shared, w, session, node, t, |agent, ctx| {
-                        agent.start(ctx)
-                    });
-                }
-            }
-            was_down
-        }
-        FaultKind::Drain { node: _, joules } => {
-            if st.batteries[li].is_unlimited() || st.batteries[li].is_depleted() {
-                return false;
-            }
-            st.batteries[li].drain(joules);
-            st.note_death(cx, li, t);
-            true
-        }
-        FaultKind::Blackout { .. } => unreachable!("blackouts apply on the coordinator"),
-    }
-}
-
-/// Process one popped event — the sharded mirror of `NetworkSim::dispatch`.
-fn dispatch_event<A: ProtocolAgent>(
-    st: &mut ShardState<A>,
-    fz: &Frozen,
-    cx: &Ctx<'_>,
-    shared: &Shared<A>,
-    w: usize,
-    t: SimTime,
-    ev: ShardEvent<A::Payload>,
-) {
-    match ev {
-        ShardEvent::Deliver(intent) => {
-            let rx = intent.rx;
-            let li = cx.local_of[rx.index()] as usize;
-            let session = intent.session as usize;
-            st.accrue_idle(cx, li, rx, t);
-            if st.batteries[li].is_depleted() {
-                return;
-            }
-            // Carrier capture is evaluated before the crash/blackout/sleep guards:
-            // a frame occupies a crashed receiver's air regardless (same as the
-            // sequential engine, which marks the channel at send time).
-            let clean = if cx.setup.radio.collisions_enabled {
-                st.channel.try_receive(intent.session, rx, intent.tx_start, intent.tx_end)
-            } else {
-                true
-            };
-            if st.crashed[li] {
-                return;
-            }
-            if fz.is_blacked_out(rx, t) {
-                return;
-            }
-            if !st.duty.is_awake(rx, t) {
-                return;
-            }
-            let rx_energy = cx.setup.radio.energy.rx_energy(intent.size_bytes);
-            let corrupted = !clean || intent.lost;
-            if corrupted {
-                let accepted = st.batteries[li].accept(rx_energy, EnergyUse::Overhear);
-                st.note_death(cx, li, t);
-                let ei = st.eidx(session, li);
-                st.energy_acc[ei] += accepted;
-                st.overhear_acc[ei] += accepted;
-                return;
-            }
-            // A clean reception teaches the MAC (TDMA slot learning). The sender's
-            // claim-table row arrives piggybacked on the frame, so the receiver's
-            // per-shard replica reads exactly what a global instance would.
-            st.mac.on_overheard(
-                rx,
-                intent.sender,
-                intent.class,
-                intent.tx_start,
-                intent.piggyback.as_deref(),
-            );
-            let packet = Packet {
-                sender: intent.sender,
-                class: intent.class,
-                size_bytes: intent.size_bytes,
-                data: intent.data,
-                payload: intent.payload,
-            };
-            let mut disposition = Disposition::Discarded;
-            with_agent(st, fz, cx, shared, w, session, rx, t, |agent, ctx| {
-                disposition = agent.on_packet(ctx, &packet);
-            });
-            let usage = match (disposition, packet.class) {
-                (Disposition::Discarded, _) => EnergyUse::Overhear,
-                (Disposition::Consumed, PacketClass::Control) => EnergyUse::RxControl,
-                (Disposition::Consumed, PacketClass::Data) => EnergyUse::RxData,
-            };
-            let accepted = st.batteries[li].accept(rx_energy, usage);
-            st.note_death(cx, li, t);
-            let ei = st.eidx(session, li);
-            st.energy_acc[ei] += accepted;
-            if usage == EnergyUse::Overhear {
-                st.overhear_acc[ei] += accepted;
-            }
-        }
-        ShardEvent::Timer { session, node, kind, key } => {
-            st.timers.remove(&(node.0, session, kind, key));
-            let li = cx.local_of[node.index()] as usize;
-            st.accrue_idle(cx, li, node, t);
-            if st.batteries[li].is_depleted() || st.crashed[li] {
-                return;
-            }
-            with_agent(st, fz, cx, shared, w, session as usize, node, t, |agent, ctx| {
-                agent.on_timer(ctx, kind, key);
-            });
-        }
-        ShardEvent::AppSend { session, seq } => {
-            let s = session as usize;
-            let traffic = cx.setup.sessions[s].traffic;
-            if t >= traffic.stop {
-                return;
-            }
-            let source = traffic.source;
-            let li = cx.local_of[source.index()] as usize;
-            st.accrue_idle(cx, li, source, t);
-            let tag = DataTag { group: traffic.group, origin: source, seq, created_at: t };
-            let receivers = st.receiver_counts[s];
-            st.traces[s].record_generated(seq, t, receivers);
-            if !st.batteries[li].is_depleted() && !st.crashed[li] {
-                with_agent(st, fz, cx, shared, w, s, source, t, |agent, ctx| {
-                    agent.on_app_data(ctx, tag, traffic.packet_size_bytes);
-                });
-            }
-            let next = t + traffic.interval();
-            if next < traffic.stop {
-                let k: Key = (RANK_APPSEND, s as u64, seq + 1, 0, 0);
-                st.queue.push(next, k, ShardEvent::AppSend { session, seq: seq + 1 });
-            }
-        }
-        ShardEvent::Membership { session, node, change } => {
-            st.apply_membership(cx.setup.n_nodes, session as usize, node, change);
-        }
-        ShardEvent::Fault(kind, plan_idx) => {
-            // Worker-side faults are crash-scheduled rejoins plus, in unprobed runs,
-            // the seeded node-local faults. Probed runs apply every seeded fault on
-            // the coordinator so the observer sees them serially (rejoins are never
-            // observed, so they stay queue-borne either way).
-            let _ = apply_fault_sharded(st, fz, cx, shared, w, t, kind, plan_idx);
-        }
-        ShardEvent::HarvestWake { node } => {
-            let li = cx.local_of[node.index()] as usize;
-            // Book the dark period first: `accrue_idle` advances the accrual horizon
-            // but charges nothing while the battery reads depleted.
-            st.accrue_idle(cx, li, node, t);
-            let restored = st.batteries[li].recharge(cx.harvest.wake_energy_j());
-            if restored <= 0.0 || st.batteries[li].is_depleted() {
-                return; // nothing banked (or still short): stay dark forever
-            }
-            st.death_at[li] = None;
-            if !st.crashed[li] {
-                // Timers died with the node; restarting the agents re-arms them —
-                // the same arbitrary-state restart as a fault-layer rejoin.
-                for session in 0..cx.setup.n_sessions() {
-                    with_agent(st, fz, cx, shared, w, session, node, t, |agent, ctx| {
-                        agent.start(ctx)
-                    });
-                }
-            }
-        }
-        ShardEvent::MacRetry {
-            session,
-            sender,
-            class,
-            size_bytes,
-            range_m,
-            data,
-            payload,
-            attempt,
-            requested_at,
-        } => {
-            try_send(
-                st,
-                fz,
-                cx,
-                shared,
-                w,
-                session as usize,
-                sender,
-                t,
-                class,
-                size_bytes,
-                range_m,
-                data,
-                payload,
-                attempt,
-                requested_at,
-            );
-        }
-    }
+    out
 }
 
 /// One worker round: drain incoming lanes, process every event `≤ end`, publish the
 /// new minimum.
-fn run_window<A: ProtocolAgent>(w: usize, shared: &Shared<A>, cx: &Ctx<'_>, end: SimTime) {
+fn run_window<A: ProtocolAgent>(w: usize, shared: &Shared<A>, layout: &Layout, end: SimTime) {
     let mut guard = plock(&shared.shards[w]);
-    let st = &mut *guard;
-    for src in 0..shared.shards.len() {
-        let mut lane = plock(&shared.lanes[w][src]);
-        for (at, key, ev) in lane.drain(..) {
-            st.queue.push(at, key, ev);
+    let Shard { core, queue, events_processed, peak_depth } = &mut *guard;
+    for lane in &shared.lanes[w] {
+        for (at, key, ev) in plock(lane).drain(..) {
+            queue.events.push(at, key, ev);
         }
     }
-    st.round_lane_min = u64::MAX;
+    queue.round_lane_min = u64::MAX;
     let fz = pread(&shared.frozen);
-    loop {
-        match st.queue.peek_time() {
-            Some(t) if t <= end => {
-                st.peak_depth = st.peak_depth.max(st.queue.len() as u64);
-                let (t, _key, ev) = st.queue.pop().expect("peeked event must pop");
-                st.events_processed += 1;
-                dispatch_event(st, &fz, cx, shared, w, t, ev);
-            }
-            _ => break,
-        }
+    let mut io = ShardIo { queue, frozen: &fz, lanes: &shared.lanes, layout, w };
+    while io.queue.events.peek_time().is_some_and(|t| t <= end) {
+        *peak_depth = (*peak_depth).max(io.queue.events.len() as u64);
+        let (t, _key, ev) = io.queue.events.pop().expect("peeked event must pop");
+        *events_processed += 1;
+        core.dispatch(&mut io, t, ev);
     }
-    let qmin = st.queue.peek_time().map_or(u64::MAX, SimTime::as_nanos);
-    let m = qmin.min(st.round_lane_min);
-    drop(fz);
-    shared.mins[w].store(m, Ordering::Release);
+    shared.mins[w].store(io.queue.min(), Ordering::Release);
 }
 
 /// Worker thread body: march through coordinator-published windows until told to exit.
 /// A panicking round sets the shared flag and keeps honouring the barrier protocol so
 /// nobody deadlocks; the coordinator re-raises the panic.
-fn worker_loop<A: ProtocolAgent>(w: usize, shared: &Shared<A>, cx: &Ctx<'_>) {
+fn worker_loop<A: ProtocolAgent>(w: usize, shared: &Shared<A>, layout: &Layout) {
     loop {
         shared.barrier.wait();
         let end = shared.window_end.load(Ordering::Acquire);
@@ -952,7 +315,7 @@ fn worker_loop<A: ProtocolAgent>(w: usize, shared: &Shared<A>, cx: &Ctx<'_>) {
             break;
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_window(w, shared, cx, SimTime::from_nanos(end));
+            run_window(w, shared, layout, SimTime::from_nanos(end));
         }));
         if outcome.is_err() {
             shared.panicked.store(true, Ordering::Release);
@@ -962,136 +325,31 @@ fn worker_loop<A: ProtocolAgent>(w: usize, shared: &Shared<A>, cx: &Ctx<'_>) {
     }
 }
 
-/// Lock every shard, bring continuous drain up to `t`, assemble a [`ProbeContext`]
-/// over the frozen topology and hand it to `f`. Session energies and the network
-/// total are reduced in ascending global node order so the floating-point sums are
-/// partition-independent.
-fn observe_sharded<A: ProtocolAgent, F>(
+/// Bring every shard's continuous drain up to `t` and probe the fleet over the frozen
+/// topology (as an epoch probe, or as a fault notification when `fault` is set).
+#[allow(clippy::too_many_arguments)]
+fn observe_sharded<A: ProtocolAgent>(
     shared: &Shared<A>,
-    cx: &Ctx<'_>,
+    layout: &Layout,
     t: SimTime,
-    cache: &mut Option<(u64, TopologySnapshot)>,
-    f: F,
-) where
-    F: FnOnce(&ProbeContext<'_>),
-{
-    let n = cx.setup.n_nodes;
-    let n_sessions = cx.setup.n_sessions();
-    let mut guards: Vec<MutexGuard<'_, ShardState<A>>> = shared.shards.iter().map(plock).collect();
-    for (i, g) in guards.iter_mut().enumerate() {
-        g.accrue_all(cx, t);
-        // Accrual may have scheduled a harvest wake: re-fold the queue minimum into
-        // the published window bound, since the worker's value predates the push.
-        let qmin = g.queue.peek_time().map_or(u64::MAX, SimTime::as_nanos);
-        if qmin < shared.mins[i].load(Ordering::Acquire) {
-            shared.mins[i].store(qmin, Ordering::Release);
-        }
+    range_m: f64,
+    scratch: &mut ProbeScratch,
+    observer: &mut dyn StabilizationObserver,
+    fault: Option<&FaultKind>,
+) {
+    for w in 0..shared.shards.len() {
+        with_shard(shared, layout, w, |core, io| core.accrue_all(io, t));
     }
     let fz = pread(&shared.frozen);
-    if !matches!(cache, Some((ts, _)) if *ts == t.as_nanos()) {
-        let snap = TopologySnapshot::new(fz.positions.clone(), cx.setup.radio.max_range_m);
-        *cache = Some((t.as_nanos(), snap));
-    }
-    let snapshot = &cache.as_ref().expect("primed above").1;
-    let mut parents: Vec<Option<NodeId>> = vec![None; n * n_sessions];
-    let mut alive = vec![false; n];
-    let mut blacked_out = vec![false; n];
-    for (gi, slot) in blacked_out.iter_mut().enumerate() {
-        *slot = fz.is_blacked_out(NodeId(gi as u32), t);
-    }
-    for g in guards.iter() {
-        for (li, &gi) in g.owned.iter().enumerate() {
-            let gi = gi as usize;
-            alive[gi] = !g.crashed[li] && !g.batteries[li].is_depleted();
-            for s in 0..n_sessions {
-                parents[s * n + gi] = g.agents[g.eidx(s, li)].tree_parent();
-            }
-        }
-    }
-    let mut session_energy = vec![0.0f64; n_sessions];
-    for (s, acc) in session_energy.iter_mut().enumerate() {
-        for gi in 0..n {
-            let g = &guards[cx.shard_of[gi] as usize];
-            *acc += g.energy_acc[g.eidx(s, cx.local_of[gi] as usize)];
-        }
-    }
-    let mut session_control = vec![0u64; n_sessions];
-    let mut session_data = vec![0u64; n_sessions];
-    for g in guards.iter() {
-        for s in 0..n_sessions {
-            session_control[s] += g.traces[s].control_packets();
-            session_data[s] += g.traces[s].data_packets_tx();
-        }
-    }
-    let mut energy_total = 0.0f64;
-    for gi in 0..n {
-        let g = &guards[cx.shard_of[gi] as usize];
-        energy_total += g.batteries[cx.local_of[gi] as usize].consumed();
-    }
-    let sessions: Vec<SessionProbe<'_>> = (0..n_sessions)
-        .map(|s| SessionProbe {
-            parents: &parents[s * n..(s + 1) * n],
-            roles: &guards[0].memberships[s * n..(s + 1) * n],
-            control_packets: session_control[s],
-            data_packets: session_data[s],
-            energy_j: session_energy[s],
-        })
-        .collect();
-    let ctx = ProbeContext {
-        now: t,
-        snapshot,
-        sessions: &sessions,
-        alive: &alive,
-        blacked_out: &blacked_out,
-        control_packets: session_control.iter().sum(),
-        data_packets: session_data.iter().sum(),
-        energy_j: energy_total,
-    };
-    f(&ctx);
-}
-
-/// Merge the per-shard MAC counters and channel statistics into one [`MacStats`]
-/// block, mirroring `NetworkSim::mac_stats`.
-fn sharded_mac_stats<A: ProtocolAgent>(
-    states: &[ShardState<A>],
-    duration: SimDuration,
-) -> MacStats {
-    let label = states.first().map(|s| s.mac.label()).unwrap_or("mac");
-    let mut mac = MacStats::empty(label);
-    let mut access_delay = SimDuration::ZERO;
-    let mut airtime = SimDuration::ZERO;
-    for st in states {
-        mac.frames_requested += st.mac_requested;
-        mac.frames_sent += st.mac_sent;
-        mac.mac_drops += st.mac_drops;
-        mac.deferrals += st.mac_deferrals;
-        access_delay += st.mac_access_delay;
-        airtime += st.mac_airtime;
-        mac.receptions += st.channel.receptions();
-        mac.collisions += st.channel.collisions();
-        let mut per = MacStats::empty(label);
-        st.mac.fill_stats(&mut per);
-        mac.slot_conflicts += per.slot_conflicts;
-        mac.slot_redraws += per.slot_redraws;
-        mac.slot_last_redraw_s = match (mac.slot_last_redraw_s, per.slot_last_redraw_s) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-    mac.mean_access_delay_ms = if mac.frames_sent > 0 {
-        access_delay.as_millis_f64() / mac.frames_sent as f64
-    } else {
-        0.0
-    };
-    mac.airtime_utilization =
-        if duration.is_zero() { 0.0 } else { airtime.as_secs_f64() / duration.as_secs_f64() };
-    mac.collision_rate =
-        if mac.receptions > 0 { mac.collisions as f64 / mac.receptions as f64 } else { 0.0 };
-    mac
+    scratch.prime(t, || TopologySnapshot::new(fz.positions.clone(), range_m));
+    let mut guards: Vec<MutexGuard<'_, Shard<A>>> = shared.shards.iter().map(plock).collect();
+    let mut cores: Vec<&mut NodeCore<A>> = guards.iter_mut().map(|g| &mut g.core).collect();
+    scratch.observe(&mut cores, layout, t, |n| fz.is_blacked_out(n, t), observer, fault);
 }
 
 /// Run `sim` on the sharded engine and produce its report. Called by
-/// `NetworkSim::run_inner` when the setup selects a positive shard count.
+/// `NetworkSim::run_inner` when the setup selects a positive shard count; `sim` must
+/// not have run yet.
 pub(super) fn run_sharded<A: ProtocolAgent>(
     sim: &mut NetworkSim<A>,
     duration: SimDuration,
@@ -1100,89 +358,48 @@ pub(super) fn run_sharded<A: ProtocolAgent>(
     let wall = std::time::Instant::now();
     let horizon = SimTime::ZERO + duration;
     let horizon_ns = horizon.as_nanos();
-    let k = sim.setup.engine.worker_count();
-    let n = sim.setup.n_nodes;
-    let n_sessions = sim.setup.n_sessions();
-    let delta = sim.setup.radio.fixed_delay;
+    let setup = Arc::clone(&sim.setup);
+    let k = setup.engine.worker_count();
+    let n = setup.n_nodes;
+    let delta = setup.radio.fixed_delay;
     assert!(
         k <= 1 || !delta.is_zero(),
         "the sharded engine needs a positive radio fixed_delay to bound its windows \
          (with {k} shards and zero delay, cross-shard deliveries would be instantaneous)"
     );
     let delta_minus_1 = delta.as_nanos().saturating_sub(1);
-    let cell_size = sim.setup.radio.max_range_m;
+    let cell_size = setup.radio.max_range_m;
 
     // --- Partition and frozen topology -------------------------------------------
-    let init_positions: Vec<Vec2> = sim.medium.positions(SimTime::ZERO).to_vec();
-    let (owned, shard_of, local_of) = partition(&init_positions, k);
+    let init_positions: Vec<Vec2> = sim.world.medium.positions(SimTime::ZERO).to_vec();
+    let (owned, layout) = partition(&init_positions, k);
     let mut fz = Frozen {
         positions: init_positions,
         index: SpatialIndex::default(),
-        blackout_until: vec![SimTime::ZERO; n],
-        recovering: vec![false; n_sessions],
+        blackout_until: (0..n).map(|_| AtomicU64::new(0)).collect(),
     };
     fz.index.rebuild(&fz.positions, cell_size);
 
-    // --- Build the shard states ---------------------------------------------------
-    let all_agents = std::mem::take(&mut sim.agents);
+    // --- One core per stripe --------------------------------------------------------
+    assert_eq!(sim.cores.len(), 1, "the sharded engine runs a simulation that has not run yet");
+    let all_agents = sim.cores.pop().expect("one core before the run").into_agents();
     let mut per_shard_agents: Vec<Vec<A>> = (0..k).map(|_| Vec::new()).collect();
     for (pos, agent) in all_agents.into_iter().enumerate() {
         // Session-major iteration keeps each shard's vector in `[session][local]`
         // layout: within a session, global ids arrive ascending, exactly the order of
         // the shard's ascending `owned` list.
-        let gi = pos % n;
-        per_shard_agents[shard_of[gi] as usize].push(agent);
+        per_shard_agents[layout.shard_of[pos % n] as usize].push(agent);
     }
-    let probed = probe.is_some();
-    let mut states: Vec<ShardState<A>> = Vec::with_capacity(k);
-    for (w, ids) in owned.iter().enumerate() {
-        let cnt = ids.len();
-        let mac = sim.setup.mac.build(n, &sim.setup.seeds);
-        states.push(ShardState {
-            owned: ids.clone(),
-            queue: KeyedQueue::with_capacity(256),
-            agents: std::mem::take(&mut per_shard_agents[w]),
-            rngs: ids.iter().map(|&gi| sim.rngs[gi as usize].clone()).collect(),
-            loss_rngs: ids
-                .iter()
-                .map(|&gi| sim.setup.seeds.indexed_stream("shard-loss", gi as u64))
-                .collect(),
-            batteries: ids.iter().map(|&gi| sim.batteries[gi as usize].clone()).collect(),
-            crashed: ids.iter().map(|&gi| sim.crashed[gi as usize]).collect(),
-            accrued_until: ids.iter().map(|&gi| sim.accrued_until[gi as usize]).collect(),
-            death_at: ids.iter().map(|&gi| sim.death_at[gi as usize]).collect(),
-            tx_seq: vec![0; cnt],
-            mac_seq: vec![0; cnt],
-            harvest_seq: vec![0; cnt],
-            first_depletion: ids.iter().filter_map(|&gi| sim.death_at[gi as usize]).min(),
-            memberships: sim.memberships.clone(),
-            receiver_counts: sim.receiver_counts.clone(),
-            joins: vec![0; n_sessions],
-            leaves: vec![0; n_sessions],
-            traces: (0..n_sessions)
-                .map(|_| Trace::with_config(sim.setup.unavailability_window, &sim.setup.metrics))
-                .collect(),
-            energy_acc: vec![0.0; n_sessions * cnt],
-            overhear_acc: vec![0.0; n_sessions * cnt],
-            channel: Channel::new(n, n_sessions),
-            mac,
-            duty: sim.duty.clone(),
-            mac_requested: 0,
-            mac_sent: 0,
-            mac_drops: 0,
-            mac_deferrals: 0,
-            mac_access_delay: SimDuration::ZERO,
-            mac_airtime: SimDuration::ZERO,
-            timers: HashMap::new(),
-            scratch_actions: Vec::with_capacity(16),
-            scratch_receivers: Vec::with_capacity(16),
-            silence_steady: vec![(0, 0); n_sessions],
-            silence_recovery: vec![(0, 0); n_sessions],
-            round_lane_min: u64::MAX,
+    let mut shards: Vec<Shard<A>> = owned
+        .into_iter()
+        .zip(per_shard_agents)
+        .map(|(ids, agents)| Shard {
+            queue: ShardQueue::new(ids.len()),
+            core: NodeCore::new::<ShardIo<'_, A::Payload>>(&setup, ids, agents),
             events_processed: 0,
             peak_depth: 0,
-        });
-    }
+        })
+        .collect();
 
     // --- Seed the event population ------------------------------------------------
     // Blackouts darken *links* (frozen state shared by all shards), so they always
@@ -1191,60 +408,53 @@ pub(super) fn run_sharded<A: ProtocolAgent>(
     // notifies the observer after each applied fault with the state as of that fault,
     // so same-instant bursts must apply-and-observe serially, never batched. Unprobed
     // runs keep node-local faults on their owner's shard queue.
+    let probed = probe.is_some();
     let mut coord_faults: Vec<(u64, u64, FaultKind)> = Vec::new();
-    for (plan_idx, fe) in sim.setup.faults.events().to_vec().into_iter().enumerate() {
+    for (plan_idx, fe) in setup.faults.events().iter().enumerate() {
+        let plan_idx = plan_idx as u64;
         if fe.at > horizon {
             continue;
         }
-        match fe.kind {
-            FaultKind::Blackout { .. } => {
-                coord_faults.push((fe.at.as_nanos(), plan_idx as u64, fe.kind));
-            }
-            kind if probed => {
-                coord_faults.push((fe.at.as_nanos(), plan_idx as u64, kind));
-            }
-            kind => {
-                let w = shard_of[kind.node().index()] as usize;
-                let key: Key = (RANK_FAULT, plan_idx as u64, 0, 0, 0);
-                states[w].queue.push(fe.at, key, ShardEvent::Fault(kind, plan_idx as u64));
-            }
+        if probed || matches!(fe.kind, FaultKind::Blackout { .. }) {
+            coord_faults.push((fe.at.as_nanos(), plan_idx, fe.kind));
+        } else {
+            let w = layout.shard_of[fe.kind.node().index()] as usize;
+            let key: Key = (RANK_FAULT, plan_idx, 0, 0, 0);
+            shards[w].queue.events.push(fe.at, key, NetEvent::Fault(fe.kind, plan_idx));
         }
     }
     coord_faults.sort_by_key(|&(ns, pi, _)| (ns, pi));
     // Every shard replays every churn event against its own full membership replica:
     // the tables stay in lockstep without any cross-shard coordination.
-    let mut flat = 0u64;
-    for (s, sess) in sim.setup.sessions.iter().enumerate() {
-        for ev in &sess.churn {
-            if ev.at <= horizon {
-                for st in &mut states {
-                    st.queue.push(
-                        ev.at,
-                        (RANK_MEMBERSHIP, flat, 0, 0, 0),
-                        ShardEvent::Membership {
-                            session: s as u16,
-                            node: ev.node,
-                            change: ev.change,
-                        },
-                    );
-                }
+    let churn = setup
+        .sessions
+        .iter()
+        .enumerate()
+        .flat_map(|(s, sess)| sess.churn.iter().map(move |ev| (s as u16, ev)));
+    for (flat, (session, ev)) in churn.enumerate() {
+        if ev.at <= horizon {
+            for shard in &mut shards {
+                shard.queue.events.push(
+                    ev.at,
+                    (RANK_MEMBERSHIP, flat as u64, 0, 0, 0),
+                    NetEvent::Membership { session, node: ev.node, change: ev.change },
+                );
             }
-            flat += 1;
         }
     }
-    for (s, sess) in sim.setup.sessions.iter().enumerate() {
+    for (s, sess) in setup.sessions.iter().enumerate() {
         if sess.traffic.start < horizon {
-            let w = shard_of[sess.traffic.source.index()] as usize;
-            states[w].queue.push(
+            let w = layout.shard_of[sess.traffic.source.index()] as usize;
+            shards[w].queue.events.push(
                 sess.traffic.start,
                 (RANK_APPSEND, s as u64, 0, 0, 0),
-                ShardEvent::AppSend { session: s as u16, seq: 0 },
+                NetEvent::AppSend { session: s as u16, seq: 0 },
             );
         }
     }
 
     let shared = Shared {
-        shards: states.into_iter().map(Mutex::new).collect(),
+        shards: shards.into_iter().map(Mutex::new).collect(),
         lanes: (0..k).map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect()).collect(),
         frozen: RwLock::new(fz),
         mins: (0..k).map(|_| AtomicU64::new(u64::MAX)).collect(),
@@ -1252,78 +462,30 @@ pub(super) fn run_sharded<A: ProtocolAgent>(
         barrier: Barrier::new(k + 1),
         panicked: AtomicBool::new(false),
     };
-    let cx =
-        Ctx { setup: &sim.setup, harvest: &sim.harvest, shard_of: &shard_of, local_of: &local_of };
 
     // --- Round zero: start every agent at time zero (coordinator-side) -------------
-    {
-        let fzg = pread(&shared.frozen);
-        for w in 0..k {
-            let mut guard = plock(&shared.shards[w]);
-            let st = &mut *guard;
-            for session in 0..n_sessions {
-                for li in 0..st.owned.len() {
-                    let node = NodeId(st.owned[li]);
-                    with_agent(st, &fzg, &cx, &shared, w, session, node, SimTime::ZERO, |a, c| {
-                        a.start(c)
-                    });
-                }
-            }
-        }
-        for w in 0..k {
-            let mut guard = plock(&shared.shards[w]);
-            let st = &mut *guard;
-            let qmin = st.queue.peek_time().map_or(u64::MAX, SimTime::as_nanos);
-            shared.mins[w].store(qmin.min(st.round_lane_min), Ordering::Release);
-            st.round_lane_min = u64::MAX;
-        }
+    for w in 0..k {
+        with_shard(&shared, &layout, w, |core, io| core.start_all(io));
     }
 
     // --- Coordinator state ----------------------------------------------------------
-    let sync_window_ns = sim.setup.engine.sync_window.as_nanos().max(1);
-    let mut next_refresh = if sync_window_ns <= horizon_ns { Some(sync_window_ns) } else { None };
-    let probe_epoch_ns = probe.as_ref().map(|o| {
-        let e = o.probe_epoch();
-        if e.is_zero() {
-            SimDuration::from_secs(1).as_nanos()
-        } else {
-            e.as_nanos()
-        }
-    });
+    let sync_window_ns = setup.engine.sync_window.as_nanos().max(1);
+    let mut next_refresh = (sync_window_ns <= horizon_ns).then_some(sync_window_ns);
+    let probe_epoch_ns = probe.as_deref().map(|o| probe_epoch(o).as_nanos());
     let mut next_probe = probe_epoch_ns.filter(|&e| e <= horizon_ns);
-    let lifetime_tracking =
-        sim.setup.battery_capacity_j.is_finite() || sim.setup.lifecycle.has_continuous_drain();
-    let sample_epoch_ns = {
-        let e = sim.setup.lifecycle.sample_epoch;
-        if e.is_zero() {
-            SimDuration::from_secs(1).as_nanos()
-        } else {
-            e.as_nanos()
-        }
-    };
-    let mut next_sample = if lifetime_tracking && sample_epoch_ns <= horizon_ns {
-        Some(sample_epoch_ns)
-    } else {
-        None
-    };
+    let sample_epoch_ns = setup.sample_epoch().as_nanos();
+    let mut next_sample =
+        (setup.tracks_lifetime() && sample_epoch_ns <= horizon_ns).then_some(sample_epoch_ns);
     let mut fault_ptr = 0usize;
-    let curve_budget = if sim.setup.metrics.is_streaming() {
-        sim.setup.metrics.streaming.curve_budget as usize
-    } else {
-        usize::MAX
-    };
-    let mut alive_curve: CurveRing<u64> = CurveRing::with_budget(curve_budget);
-    let mut delivery_curve: CurveRing<f64> = CurveRing::with_budget(curve_budget);
-    let mut snapshot_cache: Option<(u64, TopologySnapshot)> = None;
     let mut sync_rounds: u64 = 0;
 
     // --- Main loop: workers march through windows, coordinator owns special instants
-    let medium = &mut sim.medium;
+    let NetworkSim { world, curves, probe: scratch, .. } = &mut *sim;
+    let medium = &mut world.medium;
     std::thread::scope(|scope| {
         for w in 0..k {
-            let sh = &shared;
-            let cxr = &cx;
-            scope.spawn(move || worker_loop(w, sh, cxr));
+            let (sh, lay) = (&shared, &layout);
+            scope.spawn(move || worker_loop(w, sh, lay));
         }
         loop {
             if shared.panicked.load(Ordering::Acquire) {
@@ -1331,14 +493,8 @@ pub(super) fn run_sharded<A: ProtocolAgent>(
             }
             let m = shared.mins.iter().map(|a| a.load(Ordering::Acquire)).min().unwrap_or(u64::MAX);
             let next_fault = coord_faults.get(fault_ptr).map(|f| f.0);
-            let mut next_special: Option<u64> = None;
-            for cand in [next_refresh, next_probe, next_sample] {
-                next_special = match (next_special, cand) {
-                    (Some(a), Some(c)) => Some(a.min(c)),
-                    (a, c) => a.or(c),
-                };
-            }
-            // Coordinator faults mirror the sequential queue's fault-first rank: they
+            let next_special = [next_refresh, next_probe, next_sample].into_iter().flatten().min();
+            // Coordinator faults follow the sequential queue's fault-first rank: they
             // take effect once everything *strictly earlier* has drained — BEFORE any
             // same-instant packet/timer event, which the window bound below never
             // lets a worker touch first. In probed runs the observer is notified
@@ -1351,68 +507,16 @@ pub(super) fn run_sharded<A: ProtocolAgent>(
                     while coord_faults.get(fault_ptr).is_some_and(|f| f.0 == ft) {
                         let (_, plan_idx, kind) = coord_faults[fault_ptr];
                         fault_ptr += 1;
-                        let applied = match kind {
-                            FaultKind::Blackout { node, duration } => {
-                                let applied = {
-                                    let wsh = shard_of[node.index()] as usize;
-                                    let li = local_of[node.index()] as usize;
-                                    let mut st = plock(&shared.shards[wsh]);
-                                    st.accrue_idle(&cx, li, node, t);
-                                    // Accrual may have scheduled a harvest wake:
-                                    // re-fold the queue minimum the worker published
-                                    // before the push.
-                                    let qmin =
-                                        st.queue.peek_time().map_or(u64::MAX, SimTime::as_nanos);
-                                    if qmin < shared.mins[wsh].load(Ordering::Acquire) {
-                                        shared.mins[wsh].store(qmin, Ordering::Release);
-                                    }
-                                    !st.crashed[li] && !st.batteries[li].is_depleted()
-                                };
-                                let mut fzw =
-                                    shared.frozen.write().unwrap_or_else(PoisonError::into_inner);
-                                let until = t.checked_add(duration).unwrap_or(SimTime::MAX);
-                                let slot = &mut fzw.blackout_until[node.index()];
-                                *slot = (*slot).max(until);
-                                applied
-                            }
-                            kind => {
-                                // Probed runs only: node-local faults apply serially
-                                // here so each notification sees exactly this fault's
-                                // effects. Crash-scheduled rejoins still queue on the
-                                // owner's shard (they are never observed).
-                                let wsh = shard_of[kind.node().index()] as usize;
-                                let fzg = pread(&shared.frozen);
-                                let mut st = plock(&shared.shards[wsh]);
-                                let applied = apply_fault_sharded(
-                                    &mut st, &fzg, &cx, &shared, wsh, t, kind, plan_idx,
-                                );
-                                // The fault may have queued rejoins, timers, packets
-                                // or harvest wakes: re-fold this shard's minimum.
-                                let m2 = st
-                                    .queue
-                                    .peek_time()
-                                    .map_or(u64::MAX, SimTime::as_nanos)
-                                    .min(st.round_lane_min);
-                                if m2 < shared.mins[wsh].load(Ordering::Acquire) {
-                                    shared.mins[wsh].store(m2, Ordering::Release);
-                                }
-                                applied
-                            }
-                        };
+                        let w = layout.shard_of[kind.node().index()] as usize;
+                        let applied = with_shard(&shared, &layout, w, |core, io| {
+                            core.apply_fault(io, t, kind, plan_idx)
+                        });
                         if applied && !matches!(kind, FaultKind::Rejoin { .. }) {
                             if let Some(observer) = probe.as_deref_mut() {
-                                observe_sharded(&shared, &cx, t, &mut snapshot_cache, |ctx| {
-                                    observer.on_fault(&kind, ctx)
-                                });
-                                if cx.setup.silence.enabled {
-                                    let mut fzw = shared
-                                        .frozen
-                                        .write()
-                                        .unwrap_or_else(PoisonError::into_inner);
-                                    for s in 0..n_sessions {
-                                        fzw.recovering[s] = observer.session_recovering(s);
-                                    }
-                                }
+                                let f = Some(&kind);
+                                observe_sharded(
+                                    &shared, &layout, t, cell_size, scratch, observer, f,
+                                );
                             }
                         }
                     }
@@ -1438,45 +542,19 @@ pub(super) fn run_sharded<A: ProtocolAgent>(
                     if next_probe == Some(sp) {
                         let observer =
                             probe.as_deref_mut().expect("probe epochs exist only when probed");
-                        observe_sharded(&shared, &cx, t, &mut snapshot_cache, |ctx| {
-                            observer.on_epoch(ctx)
-                        });
-                        if cx.setup.silence.enabled {
-                            let mut fzw =
-                                shared.frozen.write().unwrap_or_else(PoisonError::into_inner);
-                            for s in 0..n_sessions {
-                                fzw.recovering[s] = observer.session_recovering(s);
-                            }
-                        }
+                        observe_sharded(&shared, &layout, t, cell_size, scratch, observer, None);
                         let np =
                             sp.saturating_add(probe_epoch_ns.expect("epoch set with the probe"));
                         next_probe = (np <= horizon_ns).then_some(np);
                     }
                     if next_sample == Some(sp) {
-                        let mut alive = 0u64;
-                        let mut delivered = 0u64;
-                        let mut expected = 0u64;
-                        for (i, sm) in shared.shards.iter().enumerate() {
-                            let mut st = plock(sm);
-                            st.accrue_all(&cx, t);
-                            // Accrual may have scheduled a harvest wake: re-fold the
-                            // queue minimum the worker published before the push.
-                            let qmin = st.queue.peek_time().map_or(u64::MAX, SimTime::as_nanos);
-                            if qmin < shared.mins[i].load(Ordering::Acquire) {
-                                shared.mins[i].store(qmin, Ordering::Release);
-                            }
-                            alive +=
-                                st.batteries.iter().filter(|b| !b.is_depleted()).count() as u64;
-                            delivered += st.traces.iter().map(Trace::delivered_count).sum::<u64>();
-                            expected +=
-                                st.traces.iter().map(Trace::expected_deliveries).sum::<u64>();
+                        for w in 0..k {
+                            with_shard(&shared, &layout, w, |core, io| core.accrue_all(io, t));
                         }
-                        alive_curve.push(alive);
-                        delivery_curve.push(if expected > 0 {
-                            delivered as f64 / expected as f64
-                        } else {
-                            0.0
-                        });
+                        let guards: Vec<_> = shared.shards.iter().map(plock).collect();
+                        curves.push(
+                            Fleet::new(guards.iter().map(|g| &g.core), &layout).lifetime_point(),
+                        );
                         let ns2 = sp.saturating_add(sample_epoch_ns);
                         next_sample = (ns2 <= horizon_ns).then_some(ns2);
                     }
@@ -1508,162 +586,32 @@ pub(super) fn run_sharded<A: ProtocolAgent>(
         panic!("sharded engine: a worker thread panicked");
     }
 
-    // --- Tear down: accrue to the horizon, restore state, assemble the report ------
-    for sm in &shared.shards {
-        plock(sm).accrue_all(&cx, horizon);
+    // --- Tear down: accrue to the horizon, hand the cores to `sim`, report -----------
+    for w in 0..k {
+        with_shard(&shared, &layout, w, |core, io| core.accrue_all(io, horizon));
     }
     let Shared { shards, frozen, .. } = shared;
-    let mut states: Vec<ShardState<A>> = shards
+    let fz = frozen.into_inner().unwrap_or_else(PoisonError::into_inner);
+    for (i, until) in fz.blackout_until.into_iter().enumerate() {
+        let until = until.into_inner();
+        if until > 0 {
+            sim.world.medium.set_blackout(NodeId(i as u32), SimTime::from_nanos(until));
+        }
+    }
+    let shards: Vec<Shard<A>> = shards
         .into_iter()
         .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect();
-    let fz = frozen.into_inner().unwrap_or_else(PoisonError::into_inner);
-    for (i, &until) in fz.blackout_until.iter().enumerate() {
-        if until > SimTime::ZERO {
-            sim.medium.set_blackout(NodeId(i as u32), until);
-        }
+    let counts: Vec<u64> = shards.iter().map(|s| s.events_processed).collect();
+    let peak = shards.iter().map(|s| s.peak_depth).max().unwrap_or(0);
+    sim.shard_events = counts.iter().sum();
+    sim.cores = shards.into_iter().map(|s| s.core).collect();
+    sim.layout = layout;
+    let mut report = sim.report(duration);
+    if setup.engine.stats {
+        let wall_s = wall.elapsed().as_secs_f64();
+        report.engine = Some(EngineStats::from_counts(k as u32, counts, peak, sync_rounds, wall_s));
     }
-    sim.memberships = std::mem::take(&mut states[0].memberships);
-    sim.receiver_counts = std::mem::take(&mut states[0].receiver_counts);
-    sim.joins = std::mem::take(&mut states[0].joins);
-    sim.leaves = std::mem::take(&mut states[0].leaves);
-    let mut slots: Vec<Option<A>> = (0..n * n_sessions).map(|_| None).collect();
-    for st in &mut states {
-        let cnt = st.owned.len();
-        for (ai, agent) in st.agents.drain(..).enumerate() {
-            let (s, li) = (ai / cnt, ai % cnt);
-            slots[s * n + st.owned[li] as usize] = Some(agent);
-        }
-        for (li, &gi) in st.owned.iter().enumerate() {
-            let gi = gi as usize;
-            sim.batteries[gi] = st.batteries[li].clone();
-            sim.crashed[gi] = st.crashed[li];
-            sim.rngs[gi] = st.rngs[li].clone();
-            sim.accrued_until[gi] = st.accrued_until[li];
-            sim.death_at[gi] = st.death_at[li];
-        }
-    }
-    sim.agents = slots.into_iter().map(|a| a.expect("every agent restored")).collect();
-    let mut traces: Vec<Trace> = (0..n_sessions)
-        .map(|_| Trace::with_config(sim.setup.unavailability_window, &sim.setup.metrics))
-        .collect();
-    for st in &states {
-        for (s, tr) in st.traces.iter().enumerate() {
-            traces[s].absorb(tr);
-        }
-    }
-    sim.traces = traces;
-    // The earliest depletion is min-folded per shard as deaths land: harvest wakes
-    // may have cleared `death_at` entries again, so the surviving entries alone
-    // would under-report `first_death_s`.
-    sim.first_depletion =
-        states.iter().filter_map(|s| s.first_depletion).chain(sim.first_depletion).min();
-    let mut session_energy = vec![0.0f64; n_sessions];
-    let mut session_overhear = vec![0.0f64; n_sessions];
-    for s in 0..n_sessions {
-        for gi in 0..n {
-            let st = &states[shard_of[gi] as usize];
-            let ei = st.eidx(s, local_of[gi] as usize);
-            session_energy[s] += st.energy_acc[ei];
-            session_overhear[s] += st.overhear_acc[ei];
-        }
-    }
-    sim.session_energy_j = session_energy;
-    sim.session_overhear_j = session_overhear;
-    sim.mac_requested = states.iter().map(|s| s.mac_requested).sum();
-    sim.mac_sent = states.iter().map(|s| s.mac_sent).sum();
-    sim.mac_drops = states.iter().map(|s| s.mac_drops).sum();
-    sim.mac_deferrals = states.iter().map(|s| s.mac_deferrals).sum();
-    sim.mac_access_delay = SimDuration::ZERO;
-    sim.mac_airtime = SimDuration::ZERO;
-    for st in &states {
-        sim.mac_access_delay += st.mac_access_delay;
-        sim.mac_airtime += st.mac_airtime;
-    }
-    sim.alive_curve = alive_curve;
-    sim.delivery_curve = delivery_curve;
-
-    // The report is assembled here (not via `NetworkSim::report`) because the merged
-    // collision counts live in the per-shard channels, whose counters are private to
-    // the channel module.
-    let total_energy: f64 = sim.batteries.iter().map(Battery::consumed).sum();
-    let overhear: f64 = sim.batteries.iter().map(Battery::overheard).sum();
-    let label = sim.agents.first().map(|a| a.label()).unwrap_or("protocol");
-    let pairs: Vec<(&Trace, u32)> = sim
-        .traces
-        .iter()
-        .zip(&sim.setup.sessions)
-        .map(|(trace, session)| (trace, session.traffic.packet_size_bytes))
-        .collect();
-    let collisions_total: u64 = states.iter().map(|s| s.channel.collisions()).sum();
-    let mut report = Trace::finish_aggregate(
-        &pairs,
-        label,
-        duration,
-        total_energy,
-        overhear,
-        collisions_total,
-        sim.setup.availability_threshold,
-    );
-    if sim.setup.has_group_dynamics() {
-        let groups = sim
-            .setup
-            .sessions
-            .iter()
-            .enumerate()
-            .map(|(s, session)| {
-                sim.traces[s].group_stats(&GroupAccounting {
-                    group: session.traffic.group.0,
-                    source: session.traffic.source.0,
-                    members_initial: session.initial_receivers(),
-                    members_final: sim.receiver_counts[s],
-                    joins: sim.joins[s],
-                    leaves: sim.leaves[s],
-                    energy_j: sim.session_energy_j[s],
-                    overhear_energy_j: sim.session_overhear_j[s],
-                    collisions: states.iter().map(|st| st.channel.collisions_for(s)).sum(),
-                    availability_threshold: sim.setup.availability_threshold,
-                })
-            })
-            .collect();
-        report.groups = Some(groups);
-    }
-    report.lifetime = sim.lifetime_stats();
-    for s in 0..n_sessions {
-        let mut steady = (0u64, 0u64);
-        let mut recovery = (0u64, 0u64);
-        for st in &states {
-            steady.0 += st.silence_steady[s].0;
-            steady.1 += st.silence_steady[s].1;
-            recovery.0 += st.silence_recovery[s].0;
-            recovery.1 += st.silence_recovery[s].1;
-        }
-        sim.silence_steady[s] = steady;
-        sim.silence_recovery[s] = recovery;
-    }
-    report.silence = sim.silence_stats();
-    if sim.setup.mac.reports_stats() {
-        report.mac = Some(sharded_mac_stats(&states, duration));
-    }
-    if sim.setup.engine.stats {
-        let counts: Vec<u64> = states.iter().map(|s| s.events_processed).collect();
-        let peak = states.iter().map(|s| s.peak_depth).max().unwrap_or(0);
-        report.engine = Some(EngineStats::from_counts(
-            k as u32,
-            counts,
-            peak,
-            sync_rounds,
-            wall.elapsed().as_secs_f64(),
-        ));
-    }
-    if let Some(observer) = probe {
-        report.convergence = observer.finish(horizon);
-        if let Some(groups) = report.groups.as_mut() {
-            let per_session = observer.session_stats();
-            for (group, stats) in groups.iter_mut().zip(per_session) {
-                group.convergence = Some(stats);
-            }
-        }
-    }
+    attach_convergence(&mut report, horizon, probe);
     report
 }
