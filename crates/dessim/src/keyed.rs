@@ -119,10 +119,27 @@ impl<K: Ord, E> KeyedQueue<K, E> {
 
     /// Pop the next live event in `(time, key)` order.
     pub fn pop(&mut self) -> Option<(SimTime, K, E)> {
+        self.pop_due(SimTime::MAX)
+    }
+
+    /// Pop the next live event if it is due by `limit` (its time is at most `limit`);
+    /// otherwise leave the queue as it is. One skim of cancelled entries serves both
+    /// the check and the pop.
+    pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, K, E)> {
         self.skim_cancelled();
-        let ev = self.heap.pop()?;
+        if self.heap.peek()?.time > limit {
+            return None;
+        }
+        let ev = self.heap.pop().expect("peeked entry must pop");
         self.live = self.live.saturating_sub(1);
         Some((ev.time, ev.key, ev.payload))
+    }
+
+    /// True when the entry at the top of the heap sorts strictly before `(at, key)`.
+    /// The top may be a cancelled entry not yet skimmed, so `true` only says that some
+    /// entry might have to pop first; `false` says that none does. No hashing.
+    pub fn head_precedes(&self, at: SimTime, key: &K) -> bool {
+        self.heap.peek().is_some_and(|top| (top.time, &top.key) < (at, key))
     }
 
     /// Drop any cancelled entries sitting at the top of the heap.
@@ -226,6 +243,33 @@ mod tests {
         q.clear();
         assert!(q.pop().is_none());
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_due_stops_at_the_limit_and_skips_cancelled_entries() {
+        let mut q = KeyedQueue::new();
+        let a = q.push(SimTime::from_secs(1), 0u8, "a");
+        q.push(SimTime::from_secs(2), 0, "b");
+        q.push(SimTime::from_secs(3), 0, "c");
+        q.cancel(a);
+        assert!(q.pop_due(SimTime::from_nanos(1_999_999_999)).is_none(), "b is not due yet");
+        assert_eq!(q.len(), 2, "a refused pop leaves every live event queued");
+        assert_eq!(q.pop_due(SimTime::from_secs(2)).map(|(_, _, p)| p), Some("b"));
+        assert!(q.pop_due(SimTime::from_secs(2)).is_none());
+        assert_eq!(q.pop_due(SimTime::MAX).map(|(_, _, p)| p), Some("c"));
+        assert!(q.pop_due(SimTime::MAX).is_none());
+    }
+
+    #[test]
+    fn head_precedes_compares_time_then_key() {
+        let mut q = KeyedQueue::new();
+        let t = SimTime::from_secs(1);
+        assert!(!q.head_precedes(t, &5u32), "an empty queue precedes nothing");
+        q.push(t, 5u32, ());
+        assert!(q.head_precedes(t, &6));
+        assert!(!q.head_precedes(t, &5), "equal keys do not precede");
+        assert!(!q.head_precedes(t, &4));
+        assert!(q.head_precedes(SimTime::from_secs(2), &0));
     }
 
     #[test]

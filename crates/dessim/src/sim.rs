@@ -99,7 +99,13 @@ impl<E> Simulator<E> {
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop_next(&mut self) -> Option<(SimTime, E)> {
-        let (t, (), payload) = self.queue.pop()?;
+        self.pop_due(SimTime::MAX)
+    }
+
+    /// Pop the next event if it is due by `limit`, advancing the clock to its
+    /// timestamp; otherwise leave the queue and the clock as they are.
+    pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let (t, (), payload) = self.queue.pop_due(limit)?;
         debug_assert!(t >= self.now, "event queue must never run backwards");
         self.now = t;
         self.processed += 1;
@@ -123,20 +129,16 @@ impl<E> Simulator<E> {
             if self.processed >= self.max_events {
                 return RunOutcome::BudgetExhausted;
             }
-            let next = match self.queue.peek_time() {
-                Some(t) => t,
-                None => {
+            let Some((t, ev)) = self.pop_due(horizon) else {
+                if self.queue.is_empty() {
                     // Clock still advances to the horizon so periodic observers see the
                     // full window length.
-                    self.now = self.now.max(horizon.min(SimTime::MAX));
+                    self.now = self.now.max(horizon);
                     return RunOutcome::QueueDrained;
                 }
-            };
-            if next > horizon {
                 self.now = horizon;
                 return RunOutcome::HorizonReached;
-            }
-            let (t, ev) = self.pop_next().expect("peeked event must pop");
+            };
             if !handler(self, t, ev) {
                 return RunOutcome::Stopped;
             }

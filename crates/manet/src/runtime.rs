@@ -33,7 +33,9 @@ use ssmcast_dessim::{EventId, SeedSequence, SimDuration, SimTime, Simulator};
 use ssmcast_metrics::{EngineStats, MetricsConfig};
 use std::sync::Arc;
 
-use self::core::{Curves, Fabric, Fleet, Layout, NetEvent, NodeCore, ProbeScratch};
+use self::core::{
+    CopyTally, Curves, Fabric, Fleet, Frame, Layout, NetEvent, NodeCore, ProbeScratch,
+};
 
 mod core;
 mod shard;
@@ -194,10 +196,12 @@ fn probe_epoch(observer: &dyn StabilizationObserver) -> SimDuration {
 }
 
 /// The sequential engine's fabric: the live radio medium and one insertion-ordered
-/// event queue.
+/// event queue. A frame's copies pop back to back without any check: an event queued
+/// during the fan-out is inserted after them.
 struct Sequential<P> {
     sim: Simulator<NetEvent<P>>,
     medium: RadioMedium,
+    tally: CopyTally,
 }
 
 impl<P> Fabric<P> for Sequential<P> {
@@ -244,10 +248,27 @@ impl<P> Fabric<P> for Sequential<P> {
         self.sim.cancel(id);
     }
 
-    fn begin_frame(&mut self, _sender: NodeId) {}
+    fn copy_buffer(&mut self) -> Vec<(NodeId, bool)> {
+        self.tally.buffer()
+    }
 
-    fn deliver(&mut self, at: SimTime, _sender: NodeId, _rx: NodeId, ev: NetEvent<P>) {
-        self.sim.schedule_at(at, ev);
+    fn deliver_frame(&mut self, at: SimTime, frame: Frame<P>) {
+        if frame.copies.is_empty() {
+            self.tally.recycle(frame.copies);
+            return;
+        }
+        self.tally.queued(frame.copies.len());
+        self.sim.schedule_at(at, NetEvent::Frame(frame));
+    }
+
+    fn take_copy(&mut self, _t: SimTime, _frame: &Frame<P>, _next: usize) -> bool {
+        self.tally.take(self.sim.pending());
+        true
+    }
+
+    fn end_frame(&mut self, _t: SimTime, frame: Frame<P>, delivered: usize) {
+        debug_assert_eq!(delivered, frame.copies.len(), "sequential fan-outs run to the end");
+        self.tally.recycle(frame.copies);
     }
 }
 
@@ -262,8 +283,8 @@ pub struct NetworkSim<A: ProtocolAgent> {
     world: Sequential<A::Payload>,
     curves: Curves,
     probe: ProbeScratch,
-    /// Events the sharded engine's workers processed (the sequential queue counts its
-    /// own).
+    /// Events the sharded engine's workers processed (the sequential fabric counts its
+    /// own), frame copies counted one by one.
     shard_events: u64,
 }
 
@@ -289,7 +310,11 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         let setup = Arc::new(setup);
         let core = NodeCore::new::<Sequential<A::Payload>>(&setup, (0..n as u32).collect(), agents);
         NetworkSim {
-            world: Sequential { sim: Simulator::with_capacity(1024), medium },
+            world: Sequential {
+                sim: Simulator::with_capacity(1024),
+                medium,
+                tally: CopyTally::default(),
+            },
             cores: vec![core],
             layout: Layout::default(),
             curves: Curves::new(&setup),
@@ -345,9 +370,10 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         self.cores[0].role(session, n)
     }
 
-    /// Total number of events processed so far, on either engine.
+    /// Total number of events processed so far, on either engine. Each copy of a frame
+    /// counts as one event, whichever queue entry carried it.
     pub fn events_processed(&self) -> u64 {
-        self.world.sim.events_processed() + self.shard_events
+        self.world.tally.processed + self.shard_events
     }
 
     /// True while node `n` is crashed by an injected fault.
@@ -455,7 +481,6 @@ impl<A: ProtocolAgent> NetworkSim<A> {
             return shard::run_sharded(self, duration, probe);
         }
         let wall = std::time::Instant::now();
-        let mut peak_depth: u64 = 0;
         let horizon = SimTime::ZERO + duration;
         self.cores[0].start_all(&mut self.world);
         let setup = Arc::clone(&self.setup);
@@ -494,42 +519,38 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         let sample_epoch = setup.sample_epoch();
         let mut next_sample = setup.tracks_lifetime().then(|| SimTime::ZERO + sample_epoch);
         loop {
-            if setup.engine.stats {
-                peak_depth = peak_depth.max(self.world.sim.pending() as u64);
-            }
+            self.world.tally.sample(self.world.sim.pending());
             let next_aux = match (next_probe, next_sample) {
                 (Some(p), Some(s)) => Some(p.min(s)),
                 (p, s) => p.or(s),
             };
-            match self.world.sim.peek_time() {
-                Some(next) if next <= horizon && next_aux.is_none_or(|aux| next <= aux) => {
-                    let (t, ev) = self.world.sim.pop_next().expect("peeked event must pop");
-                    // Rejoins are repairs scheduled by an earlier crash, and no-op
-                    // faults (e.g. corrupting an already-crashed node) never perturbed
-                    // anything — reporting either would open spurious episodes.
-                    if let Some((kind, true)) = self.cores[0].dispatch(&mut self.world, t, ev) {
-                        if let Some(observer) = probe.as_deref_mut() {
-                            if !matches!(kind, FaultKind::Rejoin { .. }) {
-                                self.observe(t, observer, Some(&kind));
-                            }
+            let due = next_aux.map_or(horizon, |aux| aux.min(horizon));
+            if let Some((t, ev)) = self.world.sim.pop_due(due) {
+                self.world.tally.count_pop();
+                // Rejoins are repairs scheduled by an earlier crash, and no-op faults
+                // (e.g. corrupting an already-crashed node) never perturbed anything —
+                // reporting either would open spurious episodes.
+                if let Some((kind, true)) = self.cores[0].dispatch(&mut self.world, t, ev) {
+                    if let Some(observer) = probe.as_deref_mut() {
+                        if !matches!(kind, FaultKind::Rejoin { .. }) {
+                            self.observe(t, observer, Some(&kind));
                         }
                     }
                 }
-                _ => {
-                    let Some(aux) = next_aux else { break };
-                    if aux > horizon {
-                        break;
-                    }
-                    if next_probe == Some(aux) {
-                        let observer = probe.as_deref_mut().expect("probe drives probe epochs");
-                        self.observe(aux, observer, None);
-                        next_probe = Some(aux + probe_epoch.expect("epoch set with the probe"));
-                    }
-                    if next_sample == Some(aux) {
-                        self.sample_lifetime(aux);
-                        next_sample = Some(aux + sample_epoch);
-                    }
-                }
+                continue;
+            }
+            let Some(aux) = next_aux else { break };
+            if aux > horizon {
+                break;
+            }
+            if next_probe == Some(aux) {
+                let observer = probe.as_deref_mut().expect("probe drives probe epochs");
+                self.observe(aux, observer, None);
+                next_probe = Some(aux + probe_epoch.expect("epoch set with the probe"));
+            }
+            if next_sample == Some(aux) {
+                self.sample_lifetime(aux);
+                next_sample = Some(aux + sample_epoch);
             }
         }
         // Bring every battery's continuous drain up to the horizon so the residual
@@ -537,9 +558,10 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         self.cores[0].accrue_all(&mut self.world, horizon);
         let mut report = self.report(duration);
         if setup.engine.stats {
-            let events = vec![self.world.sim.events_processed()];
+            let tally = &self.world.tally;
             let wall_s = wall.elapsed().as_secs_f64();
-            report.engine = Some(EngineStats::from_counts(0, events, peak_depth, 0, wall_s));
+            report.engine =
+                Some(EngineStats::from_counts(0, vec![tally.processed], tally.peak, 0, wall_s));
         }
         attach_convergence(&mut report, horizon, probe);
         report

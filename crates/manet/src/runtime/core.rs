@@ -40,24 +40,9 @@ use std::sync::Arc;
 /// Events flowing through either engine's queue.
 #[derive(Debug)]
 pub(crate) enum NetEvent<P> {
-    /// A packet copy arrives at `rx`. Lost receptions still cost energy but are not
-    /// handed to the protocol.
-    Deliver {
-        /// Session whose protocol instances this frame belongs to.
-        session: u16,
-        /// Receiving node.
-        rx: NodeId,
-        /// The frame.
-        packet: Packet<P>,
-        /// Lost as far as the sending side can tell: to noise, and — when the engine
-        /// captures the carrier at send time — to a collision.
-        lost: bool,
-        /// Transmission start (drives carrier capture and TDMA slot learning).
-        tx_start: SimTime,
-        /// MAC state snapshotted at transmit time ([`MacPolicy::piggyback_row`]) and
-        /// shared by every copy of the frame — TDMA's 2-hop claim table.
-        piggyback: Option<Arc<[u16]>>,
-    },
+    /// A frame arrives at the receivers this queue serves; its copies are handed out
+    /// in ascending receiver order when it pops.
+    Frame(Frame<P>),
     /// A protocol timer fires at `node`.
     Timer { session: u16, node: NodeId, kind: u64, key: u64 },
     /// The CBR application at a session's source emits data packet `seq`.
@@ -86,6 +71,87 @@ pub(crate) enum NetEvent<P> {
         /// accounting).
         requested_at: SimTime,
     },
+}
+
+/// One frame's copies for the receivers one event queue serves: the wireless broadcast
+/// advantage as the queue sees it — one transmission, one queue entry per destination
+/// queue, however many neighbours hear it.
+#[derive(Debug)]
+pub(crate) struct Frame<P> {
+    /// Session whose protocol instances this frame belongs to.
+    pub(super) session: u16,
+    /// The frame, shared by every copy.
+    pub(super) packet: Packet<P>,
+    /// Transmission start (drives carrier capture and TDMA slot learning).
+    pub(super) tx_start: SimTime,
+    /// MAC state snapshotted at transmit time ([`MacPolicy::piggyback_row`]) and shared
+    /// by every copy of the frame — TDMA's 2-hop claim table.
+    pub(super) piggyback: Option<Arc<[u16]>>,
+    /// `(receiver, lost)` per copy, ascending receiver. A lost copy still costs
+    /// reception energy but is not handed to the protocol; `lost` covers what the
+    /// sending side can tell: noise, and — when the engine captures the carrier at send
+    /// time — collisions.
+    pub(super) copies: Vec<(NodeId, bool)>,
+}
+
+/// The copy books of one event queue. A queued frame is one entry however many copies
+/// it carries, but event counts and queue depths count copies, as if each copy were its
+/// own event: that is what [`ssmcast_metrics::EngineStats`] reports.
+#[derive(Default)]
+pub(super) struct CopyTally {
+    /// Copies beyond one per queued frame entry, plus the copies of the frame being
+    /// fanned out that are not yet handed over.
+    extra: u64,
+    /// Events handled, each frame copy counted once.
+    pub(super) processed: u64,
+    /// Largest queue depth sampled, in copies.
+    pub(super) peak: u64,
+    /// Copy lists of finished frames, reused for the next frames sent.
+    spare: Vec<Vec<(NodeId, bool)>>,
+}
+
+impl CopyTally {
+    /// Sample the depth of a queue holding `entries` live entries.
+    pub(super) fn sample(&mut self, entries: usize) {
+        self.peak = self.peak.max(entries as u64 + self.extra);
+    }
+
+    /// Count one popped event (for a frame, its first copy).
+    pub(super) fn count_pop(&mut self) {
+        self.processed += 1;
+    }
+
+    /// A frame entry carrying `copies` copies joined the queue.
+    pub(super) fn queued(&mut self, copies: usize) {
+        self.extra += copies as u64 - 1;
+    }
+
+    /// The next copy of the frame being fanned out is handed over, from a queue holding
+    /// `entries` live entries: sample the depth as before a pop, then count the copy.
+    pub(super) fn take(&mut self, entries: usize) {
+        self.sample(entries);
+        self.extra -= 1;
+        self.processed += 1;
+    }
+
+    /// The copies a fan-out has not handed over went back into the queue as one entry.
+    pub(super) fn requeued(&mut self) {
+        self.extra -= 1;
+    }
+
+    /// An empty copy list.
+    pub(super) fn buffer(&mut self) -> Vec<(NodeId, bool)> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Keep `copies` for a later frame. The spare pool never outgrows the deepest queue
+    /// seen, which bounds it where copy lists migrate between shards one way.
+    pub(super) fn recycle(&mut self, mut copies: Vec<(NodeId, bool)>) {
+        if (self.spare.len() as u64) < self.peak {
+            copies.clear();
+            self.spare.push(copies);
+        }
+    }
 }
 
 /// What an engine supplies to the node-state core: topology, an event sink, and the
@@ -128,11 +194,18 @@ pub(super) trait Fabric<P> {
     fn schedule(&mut self, at: SimTime, ev: NetEvent<P>) -> EventId;
     /// Cancel a queued node-local event.
     fn cancel(&mut self, id: EventId);
-    /// A frame from `sender` goes on the air; its copies follow through
-    /// [`Self::deliver`].
-    fn begin_frame(&mut self, sender: NodeId);
-    /// Queue one copy of the current frame for `rx`, which any core may cover.
-    fn deliver(&mut self, at: SimTime, sender: NodeId, rx: NodeId, ev: NetEvent<P>);
+    /// An empty copy list for a frame about to go on the air.
+    fn copy_buffer(&mut self) -> Vec<(NodeId, bool)>;
+    /// Queue `frame` to arrive at `at`. Its receivers may be covered by any core; a
+    /// frame without copies queues nothing.
+    fn deliver_frame(&mut self, at: SimTime, frame: Frame<P>);
+    /// Copy `next` (never the first) of `frame`, popped at `t`, is due: count it as one
+    /// event and sample the queue depth — unless an event queued during the fan-out
+    /// sorts before that copy, in which case return `false` and count nothing.
+    fn take_copy(&mut self, t: SimTime, frame: &Frame<P>, next: usize) -> bool;
+    /// The fan-out of `frame` stopped after `delivered` copies: recycle its copy list
+    /// when every copy is delivered, or queue the rest at `t` to pop in its turn.
+    fn end_frame(&mut self, t: SimTime, frame: Frame<P>, delivered: usize);
 }
 
 /// Which core covers each node, and at which local index.
@@ -694,9 +767,9 @@ impl<A: ProtocolAgent> NodeCore<A> {
         // frame leaves the sender, and shared by every receiver's copy — receivers
         // learn from what was actually on the air, not from the sender's later state.
         let piggyback: Option<Arc<[u16]>> = self.mac.piggyback_row(sender, class).map(Arc::from);
-        fab.begin_frame(sender);
         // Receivers come back in ascending node-id order regardless of query mode, so
         // the per-receiver draws consume the loss stream in a query-independent order.
+        let mut copies = fab.copy_buffer();
         let loss_rng = &mut self.loss_rngs[lr];
         for &rx in &receivers {
             let mut clean = true;
@@ -709,18 +782,92 @@ impl<A: ProtocolAgent> NodeCore<A> {
                 }
             }
             let lost = loss_rng.gen::<f64>() < radio.loss_probability;
-            let packet = Packet { sender, class, size_bytes, data, payload: payload.clone() };
-            let ev = NetEvent::Deliver {
-                session: session as u16,
-                rx,
-                packet,
-                lost: !clean || lost,
-                tx_start,
-                piggyback: piggyback.clone(),
-            };
-            fab.deliver(delivery_at, sender, rx, ev);
+            copies.push((rx, !clean || lost));
         }
         self.scratch_receivers = receivers;
+        let packet = Packet { sender, class, size_bytes, data, payload };
+        let frame = Frame { session: session as u16, packet, tx_start, piggyback, copies };
+        fab.deliver_frame(delivery_at, frame);
+    }
+
+    /// Hand the copies of `frame`, popped at `t`, to their receivers in ascending order.
+    /// Every copy after the first goes through [`Fabric::take_copy`], so an event
+    /// queued during the fan-out that sorts before the next copy still runs first: the
+    /// rest of the frame then goes back to the queue.
+    fn fan_out<F: Fabric<A::Payload>>(
+        &mut self,
+        fab: &mut F,
+        t: SimTime,
+        frame: Frame<A::Payload>,
+    ) {
+        let mut delivered = 0;
+        while delivered < frame.copies.len() {
+            if delivered > 0 && !fab.take_copy(t, &frame, delivered) {
+                break;
+            }
+            let (rx, lost) = frame.copies[delivered];
+            self.deliver_copy(fab, t, &frame, rx, lost);
+            delivered += 1;
+        }
+        fab.end_frame(t, frame, delivered);
+    }
+
+    /// One copy of `frame` arrives at `rx` at `t`.
+    fn deliver_copy<F: Fabric<A::Payload>>(
+        &mut self,
+        fab: &mut F,
+        t: SimTime,
+        frame: &Frame<A::Payload>,
+        rx: NodeId,
+        lost: bool,
+    ) {
+        let Frame { session, ref packet, tx_start, ref piggyback, .. } = *frame;
+        let s = session as usize;
+        let li = fab.local(rx);
+        self.accrue_idle(fab, li, t);
+        if self.batteries[li].is_depleted() {
+            return;
+        }
+        // Capture at delivery runs before the crash/blackout/sleep guards: a frame
+        // occupies a crashed receiver's air regardless.
+        let radio = &self.setup.radio;
+        let clean = !F::GUARDS_AT_DELIVERY
+            || !radio.collisions_enabled
+            || self.channel.try_receive(
+                session,
+                rx,
+                tx_start,
+                tx_start + radio.tx_duration(packet.size_bytes),
+            );
+        // A frame already in flight when the blackout started is lost too, and a
+        // sleeping radio misses the frame entirely: no reception, no reception energy —
+        // the delivery cost of duty cycling.
+        if self.crashed[li] || fab.is_blacked_out(rx, t) || !self.duty.is_awake(rx, t) {
+            return;
+        }
+        let rx_energy = radio.energy.rx_energy(packet.size_bytes);
+        if !clean || lost {
+            let accepted = self.batteries[li].accept(rx_energy, EnergyUse::Overhear);
+            self.note_death(fab, li, t);
+            self.book::<F>(s, li, accepted, true);
+            return;
+        }
+        // A clean reception teaches the MAC: TDMA learns the sender's slot (and, on
+        // control frames, its piggybacked claim table) exclusively through this call, at
+        // arrival.
+        self.mac.on_overheard(rx, packet.sender, packet.class, tx_start, piggyback.as_deref());
+        let mut disposition = Disposition::Discarded;
+        self.call(fab, s, rx, t, |agent, ctx| {
+            disposition = agent.on_packet(ctx, packet);
+        });
+        let usage = match (disposition, packet.class) {
+            (Disposition::Discarded, _) => EnergyUse::Overhear,
+            (Disposition::Consumed, PacketClass::Control) => EnergyUse::RxControl,
+            (Disposition::Consumed, PacketClass::Data) => EnergyUse::RxData,
+        };
+        let accepted = self.batteries[li].accept(rx_energy, usage);
+        self.note_death(fab, li, t);
+        self.book::<F>(s, li, accepted, usage == EnergyUse::Overhear);
     }
 
     /// Process one event. A fault event returns its kind and whether it changed
@@ -732,60 +879,7 @@ impl<A: ProtocolAgent> NodeCore<A> {
         ev: NetEvent<A::Payload>,
     ) -> Option<(FaultKind, bool)> {
         match ev {
-            NetEvent::Deliver { session, rx, packet, lost, tx_start, piggyback } => {
-                let s = session as usize;
-                let li = fab.local(rx);
-                self.accrue_idle(fab, li, t);
-                if self.batteries[li].is_depleted() {
-                    return None;
-                }
-                // Capture at delivery runs before the crash/blackout/sleep guards: a
-                // frame occupies a crashed receiver's air regardless.
-                let radio = &self.setup.radio;
-                let clean = !F::GUARDS_AT_DELIVERY
-                    || !radio.collisions_enabled
-                    || self.channel.try_receive(
-                        session,
-                        rx,
-                        tx_start,
-                        tx_start + radio.tx_duration(packet.size_bytes),
-                    );
-                // A frame already in flight when the blackout started is lost too, and
-                // a sleeping radio misses the frame entirely: no reception, no
-                // reception energy — the delivery cost of duty cycling.
-                if self.crashed[li] || fab.is_blacked_out(rx, t) || !self.duty.is_awake(rx, t) {
-                    return None;
-                }
-                let rx_energy = radio.energy.rx_energy(packet.size_bytes);
-                if !clean || lost {
-                    let accepted = self.batteries[li].accept(rx_energy, EnergyUse::Overhear);
-                    self.note_death(fab, li, t);
-                    self.book::<F>(s, li, accepted, true);
-                    return None;
-                }
-                // A clean reception teaches the MAC: TDMA learns the sender's slot
-                // (and, on control frames, its piggybacked claim table) exclusively
-                // through this call, at arrival.
-                self.mac.on_overheard(
-                    rx,
-                    packet.sender,
-                    packet.class,
-                    tx_start,
-                    piggyback.as_deref(),
-                );
-                let mut disposition = Disposition::Discarded;
-                self.call(fab, s, rx, t, |agent, ctx| {
-                    disposition = agent.on_packet(ctx, &packet);
-                });
-                let usage = match (disposition, packet.class) {
-                    (Disposition::Discarded, _) => EnergyUse::Overhear,
-                    (Disposition::Consumed, PacketClass::Control) => EnergyUse::RxControl,
-                    (Disposition::Consumed, PacketClass::Data) => EnergyUse::RxData,
-                };
-                let accepted = self.batteries[li].accept(rx_energy, usage);
-                self.note_death(fab, li, t);
-                self.book::<F>(s, li, accepted, usage == EnergyUse::Overhear);
-            }
+            NetEvent::Frame(frame) => self.fan_out(fab, t, frame),
             NetEvent::Timer { session, node, kind, key } => {
                 self.timers.remove(&(node.0, session, kind, key));
                 let li = fab.local(node);

@@ -21,7 +21,7 @@
 //! (stationary nodes, no loss, no collisions, no MAC jitter) those differences vanish
 //! and the two engines' reports are byte-identical — see `EXPERIMENTS.md`.
 
-use super::core::{Fabric, Fleet, Layout, NetEvent, NodeCore, ProbeScratch};
+use super::core::{CopyTally, Fabric, Fleet, Frame, Layout, NetEvent, NodeCore, ProbeScratch};
 use super::{attach_convergence, probe_epoch, NetworkSim};
 use crate::agent::ProtocolAgent;
 use crate::faults::{FaultKind, StabilizationObserver};
@@ -71,14 +71,16 @@ impl Frozen {
 /// One shard's event queue and the per-node counters that make its keys unique.
 struct ShardQueue<P> {
     events: KeyedQueue<Key, NetEvent<P>>,
-    /// Per-local transmission counter — makes every delivery key unique per sender.
+    /// Frame copies in the queue, events handled and the peak depth, in copies.
+    tally: CopyTally,
+    /// Key of the event being dispatched: for a frame, the key of its first copy.
+    current: Key,
+    /// Per-local transmission counter — makes every frame key unique per sender.
     tx_seq: Vec<u64>,
     /// Per-local MAC-retry counter — makes every retry key unique per sender.
     mac_seq: Vec<u64>,
     /// Per-local harvest-wake counter — makes every wake key unique per node.
     harvest_seq: Vec<u64>,
-    /// Transmission counter of the frame whose copies are being delivered.
-    frame: u64,
     /// Earliest cross-shard push made this round, nanos (`u64::MAX` when none). Folded
     /// into the published minimum so the coordinator's window bound covers events
     /// sitting in lanes that their destination has not drained yet.
@@ -89,10 +91,11 @@ impl<P> ShardQueue<P> {
     fn new(cnt: usize) -> Self {
         ShardQueue {
             events: KeyedQueue::with_capacity(256),
+            tally: CopyTally::default(),
+            current: (0, 0, 0, 0, 0),
             tx_seq: vec![0; cnt],
             mac_seq: vec![0; cnt],
             harvest_seq: vec![0; cnt],
-            frame: 0,
             round_lane_min: u64::MAX,
         }
     }
@@ -108,18 +111,23 @@ impl<P> ShardQueue<P> {
 struct Shard<A: ProtocolAgent> {
     core: NodeCore<A>,
     queue: ShardQueue<A::Payload>,
-    events_processed: u64,
-    peak_depth: u64,
 }
 
-/// One cross-shard mailbox: timestamped, canonically-keyed events from a single
-/// source shard, drained by the destination at the start of its next round.
-type Lane<P> = Mutex<Vec<(SimTime, Key, NetEvent<P>)>>;
+/// One cross-shard mailbox: timestamped, canonically-keyed frames from a single source
+/// shard, drained by the destination at the start of its next round.
+type Lane<P> = Mutex<Vec<(SimTime, Key, Frame<P>)>>;
+
+/// The key of `frame`'s copy to `rx`: every copy of one frame shares the frame's
+/// `(sender, tx_seq)` and sorts by receiver, so a frame entry keyed by its first copy
+/// pops exactly where that copy would.
+fn copy_key(frame: Key, rx: NodeId) -> Key {
+    (RANK_DELIVER, frame.1, frame.2, rx.0 as u64, 0)
+}
 
 /// State shared between the coordinator and the workers.
 struct Shared<A: ProtocolAgent> {
     shards: Vec<Mutex<Shard<A>>>,
-    /// `lanes[dst][src]`: cross-shard deliveries from `src` to `dst`.
+    /// `lanes[dst][src]`: cross-shard frames from `src` to `dst`.
     lanes: Vec<Vec<Lane<A::Payload>>>,
     frozen: RwLock<Frozen>,
     /// Per-shard published minimum (nanos), `u64::MAX` when idle.
@@ -152,7 +160,7 @@ struct ShardIo<'a, P> {
     w: usize,
 }
 
-impl<P> Fabric<P> for ShardIo<'_, P> {
+impl<P: Clone> Fabric<P> for ShardIo<'_, P> {
     const PER_SENDER_LOSS: bool = true;
     const GUARDS_AT_DELIVERY: bool = true;
     const NODE_ORDER_ENERGY: bool = true;
@@ -211,8 +219,8 @@ impl<P> Fabric<P> for ShardIo<'_, P> {
             // The only fault a core schedules is a crash's rejoin, keyed after the
             // crash's own plan entry.
             NetEvent::Fault(_, plan_idx) => (RANK_FAULT, *plan_idx, 1, 0, 0),
-            NetEvent::Membership { .. } | NetEvent::Deliver { .. } => {
-                unreachable!("churn is seeded up front and frames travel through `deliver`")
+            NetEvent::Membership { .. } | NetEvent::Frame(_) => {
+                unreachable!("churn is seeded up front and frames travel through `deliver_frame`")
             }
         };
         self.queue.events.push(at, key, ev)
@@ -222,19 +230,79 @@ impl<P> Fabric<P> for ShardIo<'_, P> {
         self.queue.events.cancel(id);
     }
 
-    fn begin_frame(&mut self, sender: NodeId) {
-        let li = self.local(sender);
-        self.queue.frame = self.queue.tx_seq[li];
-        self.queue.tx_seq[li] += 1;
+    fn copy_buffer(&mut self) -> Vec<(NodeId, bool)> {
+        self.queue.tally.buffer()
     }
 
-    fn deliver(&mut self, at: SimTime, sender: NodeId, rx: NodeId, ev: NetEvent<P>) {
-        let key: Key = (RANK_DELIVER, sender.0 as u64, self.queue.frame, rx.0 as u64, 0);
-        let dst = self.layout.shard_of[rx.index()] as usize;
+    /// One entry per destination shard, keyed by its first copy, so pop order stays a
+    /// pure function of the frame however the stripes cut its receivers.
+    fn deliver_frame(&mut self, at: SimTime, frame: Frame<P>) {
+        let sender = frame.packet.sender;
+        let li = self.local(sender);
+        let frame_key = (RANK_DELIVER, sender.0 as u64, self.queue.tx_seq[li], 0, 0);
+        self.queue.tx_seq[li] += 1;
+        let shard_of = |rx: NodeId| self.layout.shard_of[rx.index()] as usize;
+        let Some(&(first, _)) = frame.copies.first() else {
+            self.queue.tally.recycle(frame.copies);
+            return;
+        };
+        let dst = shard_of(first);
+        if frame.copies.iter().all(|&(rx, _)| shard_of(rx) == dst) {
+            self.send(at, frame_key, dst, frame);
+            return;
+        }
+        for dst in 0..self.lanes.len() {
+            let mut copies = self.queue.tally.buffer();
+            copies.extend(frame.copies.iter().filter(|&&(rx, _)| shard_of(rx) == dst));
+            if copies.is_empty() {
+                self.queue.tally.recycle(copies);
+                continue;
+            }
+            let part = Frame {
+                session: frame.session,
+                packet: frame.packet.clone(),
+                tx_start: frame.tx_start,
+                piggyback: frame.piggyback.clone(),
+                copies,
+            };
+            self.send(at, frame_key, dst, part);
+        }
+        self.queue.tally.recycle(frame.copies);
+    }
+
+    fn take_copy(&mut self, t: SimTime, frame: &Frame<P>, next: usize) -> bool {
+        let key = copy_key(self.queue.current, frame.copies[next].0);
+        if self.queue.events.head_precedes(t, &key) {
+            return false;
+        }
+        self.queue.tally.take(self.queue.events.len());
+        true
+    }
+
+    fn end_frame(&mut self, t: SimTime, mut frame: Frame<P>, delivered: usize) {
+        if delivered == frame.copies.len() {
+            self.queue.tally.recycle(frame.copies);
+            return;
+        }
+        // Preempted: the rest pops under its next copy's key, after the event that
+        // sorts before it.
+        frame.copies.drain(..delivered);
+        let key = copy_key(self.queue.current, frame.copies[0].0);
+        self.queue.tally.requeued();
+        self.queue.events.push(t, key, NetEvent::Frame(frame));
+    }
+}
+
+impl<P> ShardIo<'_, P> {
+    /// Queue `frame` (copies for shard `dst` only) under its first copy's key: on this
+    /// shard's queue, or in the lane to `dst`.
+    fn send(&mut self, at: SimTime, frame_key: Key, dst: usize, frame: Frame<P>) {
+        let key = copy_key(frame_key, frame.copies[0].0);
         if dst == self.w {
-            self.queue.events.push(at, key, ev);
+            self.queue.tally.queued(frame.copies.len());
+            self.queue.events.push(at, key, NetEvent::Frame(frame));
         } else {
-            plock(&self.lanes[dst][self.w]).push((at, key, ev));
+            plock(&self.lanes[dst][self.w]).push((at, key, frame));
             self.queue.round_lane_min = self.queue.round_lane_min.min(at.as_nanos());
         }
     }
@@ -286,19 +354,21 @@ fn with_shard<A: ProtocolAgent, R>(
 /// new minimum.
 fn run_window<A: ProtocolAgent>(w: usize, shared: &Shared<A>, layout: &Layout, end: SimTime) {
     let mut guard = plock(&shared.shards[w]);
-    let Shard { core, queue, events_processed, peak_depth } = &mut *guard;
+    let Shard { core, queue } = &mut *guard;
     for lane in &shared.lanes[w] {
-        for (at, key, ev) in plock(lane).drain(..) {
-            queue.events.push(at, key, ev);
+        for (at, key, frame) in plock(lane).drain(..) {
+            queue.tally.queued(frame.copies.len());
+            queue.events.push(at, key, NetEvent::Frame(frame));
         }
     }
     queue.round_lane_min = u64::MAX;
     let fz = pread(&shared.frozen);
     let mut io = ShardIo { queue, frozen: &fz, lanes: &shared.lanes, layout, w };
-    while io.queue.events.peek_time().is_some_and(|t| t <= end) {
-        *peak_depth = (*peak_depth).max(io.queue.events.len() as u64);
-        let (t, _key, ev) = io.queue.events.pop().expect("peeked event must pop");
-        *events_processed += 1;
+    while let Some((t, key, ev)) = io.queue.events.pop_due(end) {
+        // Depth as it was before the pop.
+        io.queue.tally.sample(io.queue.events.len() + 1);
+        io.queue.tally.count_pop();
+        io.queue.current = key;
         core.dispatch(&mut io, t, ev);
     }
     shared.mins[w].store(io.queue.min(), Ordering::Release);
@@ -396,8 +466,6 @@ pub(super) fn run_sharded<A: ProtocolAgent>(
         .map(|(ids, agents)| Shard {
             queue: ShardQueue::new(ids.len()),
             core: NodeCore::new::<ShardIo<'_, A::Payload>>(&setup, ids, agents),
-            events_processed: 0,
-            peak_depth: 0,
         })
         .collect();
 
@@ -602,8 +670,8 @@ pub(super) fn run_sharded<A: ProtocolAgent>(
         .into_iter()
         .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect();
-    let counts: Vec<u64> = shards.iter().map(|s| s.events_processed).collect();
-    let peak = shards.iter().map(|s| s.peak_depth).max().unwrap_or(0);
+    let counts: Vec<u64> = shards.iter().map(|s| s.queue.tally.processed).collect();
+    let peak = shards.iter().map(|s| s.queue.tally.peak).max().unwrap_or(0);
     sim.shard_events = counts.iter().sum();
     sim.cores = shards.into_iter().map(|s| s.core).collect();
     sim.layout = layout;

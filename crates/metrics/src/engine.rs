@@ -3,7 +3,9 @@
 //! Protocol metrics describe the simulated network; [`EngineStats`] describes the
 //! simulator — how many events it processed, how fast, how deep its queues ran, and (on
 //! the sharded engine) how evenly the spatial partition spread the load and how many
-//! synchronization windows the shards marched through. The block is opt-in
+//! synchronization windows the shards marched through. Every count treats each
+//! receiver's copy of a frame as one event, although a queue holds one entry per frame
+//! (per destination shard) and hands its copies out when it pops. The block is opt-in
 //! (`EngineConfig::with_stats`) and absent from serialized reports when off, so default
 //! reports stay byte-identical; events/s is wall-clock derived and therefore **not**
 //! deterministic — equivalence tests must run with stats off.
@@ -15,14 +17,18 @@ use serde::{Deserialize, Serialize};
 pub struct EngineStats {
     /// Shard (worker-thread) count; 0 for the sequential engine.
     pub shards: u32,
-    /// Events processed across all shards.
+    /// Events processed across all shards; each receiver's copy of a frame is one
+    /// event, not each queue entry.
     pub events_processed: u64,
-    /// Events processed per wall-clock second (0 when the run took no measurable time).
+    /// Events (frame copies counted one by one) processed per wall-clock second (0 when
+    /// the run took no measurable time).
     /// Wall-clock derived: reproducible runs still report different rates.
     pub events_per_sec: f64,
-    /// Largest pending-event count observed in any single queue.
+    /// Largest pending-event count observed in any single queue, sampled before every
+    /// event; a queued frame counts one per copy it still holds.
     pub peak_queue_depth: u64,
-    /// Events processed by each shard (one entry, index 0, for the sequential engine).
+    /// Events processed by each shard (one entry, index 0, for the sequential engine);
+    /// a frame copy counts on the shard of its receiver.
     pub shard_event_counts: Vec<u64>,
     /// Load imbalance: max over shards of events processed, divided by the mean
     /// (1.0 = perfectly balanced; 1.0 for the sequential engine).
