@@ -31,8 +31,8 @@ fn bench_metric_evaluation(c: &mut Criterion) {
     let view = ParentView {
         cost: 0.012,
         hop: 3,
-        child_distances: vec![80.0, 120.0, 145.0, 60.0],
-        non_member_neighbor_distances: vec![55.0, 90.0, 130.0, 170.0, 210.0],
+        child_distances: &[80.0, 120.0, 145.0, 60.0],
+        non_member_neighbor_distances: &[55.0, 90.0, 130.0, 170.0, 210.0],
     };
     c.bench_function("core/join_overhead_energy_aware", |b| {
         b.iter(|| {

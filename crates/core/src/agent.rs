@@ -1,4 +1,4 @@
-//! Event-driven SS-SPST agent for the MANET simulator.
+//! Event-driven self-stabilizing tree agent for the MANET simulator.
 //!
 //! One [`SsSpstAgent`] runs on every node. Each beacon interval the agent
 //!
@@ -12,6 +12,15 @@
 //! delivers it locally if it is a member, and re-broadcasts it with just enough power to
 //! reach its farthest child that still leads to members. Data heard from any other node is
 //! overhearing and is discarded — exactly the energy the SS-SPST-E metric tries to avoid.
+//!
+//! The same state machine also runs SS-MST ([`SsSpstAgent::bottleneck`]), a loop-free
+//! self-stabilizing minimum(-bottleneck) spanning tree in the style of Blin,
+//! Potop-Butucaru, Rovedakis and Tixeuil. There every node minimises the *bottleneck* of
+//! its path to the source — the longest single link on it — instead of an additive
+//! metric: `cost(v) = max(cost(parent), |v, parent|)`. Loop freedom comes from three
+//! guards: a node never adopts a neighbour that currently claims it as parent, hops stay
+//! bounded by the network size, and parent switches pay the same hysteresis margin as
+//! SS-SPST so the tree does not flap between equal-bottleneck paths.
 
 use crate::beacon::Beacon;
 use crate::metric::{cost_via, MetricKind, MetricParams, ParentView};
@@ -32,7 +41,7 @@ const TIMER_BEACON: u64 = 1;
 /// parent change, state corruption, or an overheard beacon inconsistent with the cached
 /// neighbour view — resets the state and snaps the cadence back to the base interval.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct SilenceState {
+struct SilenceState {
     /// Consecutive quiet rounds observed since the last evidence.
     quiet_rounds: u32,
     /// Current backoff level; the beacon interval is `base * factor^level` (capped).
@@ -43,13 +52,13 @@ pub(crate) struct SilenceState {
 
 impl SilenceState {
     /// The beacon interval at the current backoff level.
-    pub(crate) fn interval(&self, cfg: &SilenceConfig, base: SimDuration) -> SimDuration {
+    fn interval(&self, cfg: &SilenceConfig, base: SimDuration) -> SimDuration {
         cfg.interval_at(base, self.level)
     }
 
     /// Record evidence of illegitimacy. Returns true when the beacon timer was backed
     /// off, i.e. the caller must cancel it and reschedule at the base cadence.
-    pub(crate) fn note_evidence(&mut self) -> bool {
+    fn note_evidence(&mut self) -> bool {
         let was_suppressed = self.level > 0;
         self.evidence = true;
         self.quiet_rounds = 0;
@@ -59,7 +68,7 @@ impl SilenceState {
 
     /// Close one beacon round: a round is quiet when the local legitimacy predicate
     /// held and no evidence arrived since the previous round.
-    pub(crate) fn close_round(&mut self, cfg: &SilenceConfig, locally_legitimate: bool) {
+    fn close_round(&mut self, cfg: &SilenceConfig, locally_legitimate: bool) {
         if !cfg.enabled {
             return;
         }
@@ -90,7 +99,8 @@ pub enum SsSpstPayload {
 /// Configuration of an [`SsSpstAgent`].
 #[derive(Clone, Copy, Debug)]
 pub struct SsSpstConfig {
-    /// Which cost metric to stabilize (selects SS-SPST, -T, -F or -E).
+    /// Which cost metric to stabilize (selects SS-SPST, -T, -F or -E). SS-MST
+    /// ([`SsSpstAgent::bottleneck`]) ignores it.
     pub kind: MetricKind,
     /// Energy-pricing parameters.
     pub params: MetricParams,
@@ -152,10 +162,20 @@ struct NeighborEntry {
     timeout: SimDuration,
 }
 
-/// The per-node SS-SPST protocol state machine.
+/// The path cost a tree agent minimises, fixed by its constructor.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Objective {
+    /// SS-SPST: the additive cost `l(u) + C(u, v)` under one of the paper's metrics.
+    Metric(MetricKind),
+    /// SS-MST: the longest link on the path to the source.
+    Bottleneck,
+}
+
+/// The per-node state machine of the self-stabilizing tree family (SS-SPST and SS-MST).
 #[derive(Debug)]
 pub struct SsSpstAgent {
     config: SsSpstConfig,
+    objective: Objective,
     cost: f64,
     hop: u32,
     parent: Option<NodeId>,
@@ -170,10 +190,21 @@ pub struct SsSpstAgent {
 }
 
 impl SsSpstAgent {
-    /// Create an agent with the given configuration.
+    /// Create an SS-SPST agent stabilizing `config.kind`.
     pub fn new(config: SsSpstConfig) -> Self {
+        Self::with_objective(config, Objective::Metric(config.kind))
+    }
+
+    /// Create an SS-MST agent: the same state machine minimising the bottleneck (longest
+    /// link) of the path to the source. `config.kind` and `config.params` are not read.
+    pub fn bottleneck(config: SsSpstConfig) -> Self {
+        Self::with_objective(config, Objective::Bottleneck)
+    }
+
+    fn with_objective(config: SsSpstConfig, objective: Objective) -> Self {
         SsSpstAgent {
             config,
+            objective,
             cost: f64::INFINITY,
             hop: u32::MAX,
             parent: None,
@@ -188,17 +219,13 @@ impl SsSpstAgent {
         }
     }
 
-    /// The metric this agent stabilizes.
-    pub fn kind(&self) -> MetricKind {
-        self.config.kind
-    }
-
     /// Current parent (None while disconnected or at the source).
     pub fn parent(&self) -> Option<NodeId> {
         self.parent
     }
 
-    /// Current accumulated cost `l_v`.
+    /// Current path cost: the accumulated cost `l_v` (SS-SPST) or the longest link on
+    /// the path to the source (SS-MST).
     pub fn cost(&self) -> f64 {
         self.cost
     }
@@ -221,15 +248,6 @@ impl SsSpstAgent {
     /// True if this node currently believes its subtree contains a group member.
     pub fn has_downstream_member(&self) -> bool {
         self.has_downstream_member
-    }
-
-    /// Ids of the neighbours currently claiming this node as their parent.
-    pub fn children(&self, me: NodeId) -> Vec<NodeId> {
-        let _ = me;
-        let mut v: Vec<NodeId> =
-            self.neighbors.iter().filter(|(_, e)| e.parent_is_me).map(|(id, _)| *id).collect();
-        v.sort();
-        v
     }
 
     /// Staleness bound for a neighbour that just sent `b`. With suppression enabled
@@ -272,12 +290,14 @@ impl SsSpstAgent {
     fn initialise_bounds(&mut self, ctx: &NodeCtx<'_, SsSpstPayload>) {
         let n = ctx.n_nodes.max(1) as f64;
         self.max_hops = ctx.n_nodes.max(1) as u32;
-        self.infinity_cost = match self.config.kind {
-            MetricKind::Hop => n * n + 1.0,
-            _ => {
+        self.infinity_cost = match self.objective {
+            Objective::Metric(MetricKind::Hop) => n * n + 1.0,
+            Objective::Metric(_) => {
                 let worst = self.config.params.tx(ctx.radio.max_range_m);
                 n * (worst + n * self.config.params.rx()) + 1.0
             }
+            // Legitimate bottleneck costs are single link lengths, bounded by the radio.
+            Objective::Bottleneck => ctx.radio.max_range_m + 1.0,
         };
         if self.cost.is_infinite() {
             self.cost = self.infinity_cost;
@@ -285,14 +305,34 @@ impl SsSpstAgent {
         }
     }
 
-    /// Build the [`ParentView`] of neighbour `u` as seen from this node.
-    fn view_of(&self, u: NodeId, entry: &NeighborEntry) -> ParentView {
-        let _ = u;
-        ParentView {
-            cost: entry.cost,
-            hop: entry.hop,
-            child_distances: entry.child_distances_excluding_me.clone(),
-            non_member_neighbor_distances: entry.non_member_neighbor_distances.clone(),
+    /// The [`MetricKind`] whose beacon format this agent speaks: SS-MST beacons carry
+    /// the same link-based fields as plain SS-SPST.
+    fn wire_kind(&self) -> MetricKind {
+        match self.objective {
+            Objective::Metric(kind) => kind,
+            Objective::Bottleneck => MetricKind::Hop,
+        }
+    }
+
+    /// Path cost of joining the neighbour behind `entry`, or `None` if it must not be
+    /// adopted.
+    fn cost_through(&self, entry: &NeighborEntry) -> Option<f64> {
+        match self.objective {
+            Objective::Metric(kind) => {
+                let view = ParentView {
+                    cost: entry.cost,
+                    hop: entry.hop,
+                    child_distances: &entry.child_distances_excluding_me,
+                    non_member_neighbor_distances: &entry.non_member_neighbor_distances,
+                };
+                Some(cost_via(kind, &self.config.params, &view, entry.distance))
+            }
+            // Loop guard: a neighbour claiming this node as its parent is downstream of
+            // us; adopting it would close a cycle instantly.
+            Objective::Bottleneck if entry.parent_is_me => None,
+            // The bottleneck of the path through the neighbour: its bottleneck or our
+            // link to it, whichever is longer.
+            Objective::Bottleneck => Some(entry.cost.max(entry.distance)),
         }
     }
 
@@ -310,8 +350,7 @@ impl SsSpstAgent {
             if entry.cost >= self.infinity_cost || entry.hop.saturating_add(1) > self.max_hops {
                 continue;
             }
-            let view = self.view_of(u, entry);
-            let c = cost_via(self.config.kind, &self.config.params, &view, entry.distance);
+            let Some(c) = self.cost_through(entry) else { continue };
             let h = entry.hop + 1;
             if self.parent == Some(u) {
                 via_current = Some((c, h));
@@ -335,11 +374,10 @@ impl SsSpstAgent {
                 self.hop = self.max_hops;
             }
             Some((bu, bc, bh)) => {
-                if let (Some(p), Some((cc, ch))) = (self.parent, via_current) {
+                if let Some((cc, ch)) = via_current {
                     if cc <= bc * (1.0 + self.config.switch_margin) + 1e-12 {
                         self.cost = cc;
                         self.hop = ch;
-                        let _ = p;
                         return;
                     }
                 }
@@ -374,13 +412,14 @@ impl SsSpstAgent {
     /// The energy-aware variants use power control (reach the farthest relevant child,
     /// plus a margin for movement since its last beacon); plain SS-SPST is not
     /// energy-aware and transmits at full power, exactly the behaviour its hop metric
-    /// prices at zero.
+    /// prices at zero. SS-MST power-controls too: its objective keeps every tree link
+    /// short.
     fn forward_data(&mut self, ctx: &mut NodeCtx<'_, SsSpstPayload>, tag: DataTag, size: u32) {
         let targets = self.forwarding_children();
         if targets.is_empty() {
             return;
         }
-        let range = if self.config.kind.is_energy_based() {
+        let range = if self.objective != Objective::Metric(MetricKind::Hop) {
             let far = targets.iter().map(|(_, d)| *d).fold(0.0, f64::max);
             (far * self.config.range_margin).min(ctx.radio.max_range_m)
         } else {
@@ -397,7 +436,7 @@ impl SsSpstAgent {
             .filter(|(_, e)| e.parent_is_me)
             .map(|(id, e)| (*id, e.distance))
             .collect();
-        let non_member_neighbor_distances = if self.config.kind == MetricKind::EnergyAware {
+        let non_member_neighbor_distances = if self.wire_kind() == MetricKind::EnergyAware {
             self.neighbors
                 .iter()
                 .filter(|(id, e)| !e.member && !e.parent_is_me && self.parent != Some(**id))
@@ -419,7 +458,7 @@ impl SsSpstAgent {
             // The next beacon leaves at most 0.95·interval + 0.1·interval from now.
             next_beacon_s: interval.mul_f64(1.05).as_secs_f64(),
         };
-        let size = beacon.advertised_wire_size(self.config.kind, self.config.silence.enabled);
+        let size = beacon.advertised_wire_size(self.wire_kind(), self.config.silence.enabled);
         ctx.broadcast_control(size, ctx.radio.max_range_m, SsSpstPayload::Beacon(beacon));
         self.beacons_sent += 1;
     }
@@ -555,7 +594,10 @@ impl ProtocolAgent for SsSpstAgent {
     }
 
     fn label(&self) -> &'static str {
-        self.config.kind.protocol_name()
+        match self.objective {
+            Objective::Metric(kind) => kind.protocol_name(),
+            Objective::Bottleneck => "SS-MST",
+        }
     }
 
     fn tree_parent(&self) -> Option<NodeId> {
@@ -1041,5 +1083,187 @@ mod tests {
             Some(NodeId(0)),
             "a correctly silent neighbour must not be expired"
         );
+    }
+
+    /// A member beacon advertising `parent`, for the SS-MST tests.
+    fn beacon_with_parent(cost: f64, hop: u32, pos: Vec2, parent: Option<NodeId>) -> Beacon {
+        Beacon { parent, ..beacon_from(cost, hop, pos, true, true) }
+    }
+
+    fn mst_agent() -> SsSpstAgent {
+        SsSpstAgent::bottleneck(SsSpstConfig::paper_default(MetricKind::Hop))
+    }
+
+    #[test]
+    fn mst_picks_the_minimum_bottleneck_parent_not_the_shortest_path() {
+        // Me at (100, 0). Node 0 (the source) is 100 m away; node 1 sits at (60, 0)
+        // with a 60 m bottleneck path to the source. Additive shortest-path would go
+        // direct (100 < 60 + 40 in hops terms it is 1 hop), but the minimax objective
+        // prefers the two-hop path whose longest link is only 60 m.
+        let mut h = Harness::with_seed(9);
+        let mut agent = mst_agent();
+        let me = NodeId(2);
+        let my_pos = Vec2::new(100.0, 0.0);
+        {
+            let mut ctx = h.ctx(SimTime::ZERO, me, my_pos, GroupRole::Member);
+            agent.start(&mut ctx);
+        }
+        let direct = Packet::control(
+            NodeId(0),
+            32,
+            SsSpstPayload::Beacon(beacon_with_parent(0.0, 0, Vec2::ZERO, None)),
+        );
+        let relay = Packet::control(
+            NodeId(1),
+            32,
+            SsSpstPayload::Beacon(beacon_with_parent(
+                60.0,
+                1,
+                Vec2::new(60.0, 0.0),
+                Some(NodeId(0)),
+            )),
+        );
+        {
+            let mut ctx = h.ctx(SimTime::from_secs(1), me, my_pos, GroupRole::Member);
+            agent.on_packet(&mut ctx, &direct);
+            agent.on_packet(&mut ctx, &relay);
+        }
+        {
+            let mut ctx = h.ctx(SimTime::from_secs(2), me, my_pos, GroupRole::Member);
+            agent.on_timer(&mut ctx, TIMER_BEACON, 0);
+        }
+        assert_eq!(agent.parent(), Some(NodeId(1)), "minimax prefers the 60 m bottleneck");
+        assert!((agent.cost() - 60.0).abs() < 1e-9);
+        assert_eq!(agent.hop(), 2);
+    }
+
+    #[test]
+    fn mst_never_adopts_a_neighbor_that_claims_us_as_parent() {
+        // Node 5 advertises a tempting zero-ish bottleneck but lists us as its parent:
+        // adopting it would close a two-cycle. The loop guard must skip it.
+        let mut h = Harness::with_seed(9);
+        let mut agent = mst_agent();
+        let me = NodeId(2);
+        let my_pos = Vec2::new(100.0, 0.0);
+        {
+            let mut ctx = h.ctx(SimTime::ZERO, me, my_pos, GroupRole::Member);
+            agent.start(&mut ctx);
+        }
+        let cyclic = Packet::control(
+            NodeId(5),
+            32,
+            SsSpstPayload::Beacon(beacon_with_parent(1.0, 1, Vec2::new(110.0, 0.0), Some(me))),
+        );
+        {
+            let mut ctx = h.ctx(SimTime::from_secs(1), me, my_pos, GroupRole::Member);
+            agent.on_packet(&mut ctx, &cyclic);
+        }
+        {
+            let mut ctx = h.ctx(SimTime::from_secs(2), me, my_pos, GroupRole::Member);
+            agent.on_timer(&mut ctx, TIMER_BEACON, 0);
+        }
+        assert_eq!(agent.parent(), None, "the only candidate is our own child");
+        assert!(agent.cost() >= agent.infinity_cost);
+    }
+
+    #[test]
+    fn mst_emits_hop_sized_beacons_and_forwards_down_the_tree() {
+        let mut h = Harness::with_seed(9);
+        // The bottleneck objective ignores the configured metric: even an SS-SPST-E
+        // configuration yields link-based beacons and the SS-MST label.
+        let mut agent =
+            SsSpstAgent::bottleneck(SsSpstConfig::paper_default(MetricKind::EnergyAware));
+        assert_eq!(agent.label(), "SS-MST");
+        let me = NodeId(1);
+        let my_pos = Vec2::new(80.0, 0.0);
+        {
+            let mut ctx = h.ctx(SimTime::ZERO, me, my_pos, GroupRole::Member);
+            agent.start(&mut ctx);
+        }
+        let src = Packet::control(
+            NodeId(0),
+            32,
+            SsSpstPayload::Beacon(beacon_with_parent(0.0, 0, Vec2::ZERO, None)),
+        );
+        let child = Packet::control(
+            NodeId(3),
+            32,
+            SsSpstPayload::Beacon(beacon_with_parent(90.0, 2, Vec2::new(170.0, 0.0), Some(me))),
+        );
+        {
+            let mut ctx = h.ctx(SimTime::from_secs(1), me, my_pos, GroupRole::Member);
+            agent.on_packet(&mut ctx, &src);
+            agent.on_packet(&mut ctx, &child);
+        }
+        {
+            let mut ctx = h.ctx(SimTime::from_secs(2), me, my_pos, GroupRole::Member);
+            agent.on_timer(&mut ctx, TIMER_BEACON, 0);
+        }
+        assert_eq!(agent.parent(), Some(NodeId(0)));
+        let size = h
+            .actions
+            .iter()
+            .find_map(|a| match a {
+                Action::Broadcast { class: PacketClass::Control, size_bytes, .. } => {
+                    Some(*size_bytes)
+                }
+                _ => None,
+            })
+            .expect("beacon emitted");
+        assert_eq!(size, 24, "SS-MST beacons use the link-based wire format");
+
+        // Data from the parent is delivered and forwarded toward the child.
+        let tag = DataTag {
+            group: Default::default(),
+            origin: NodeId(0),
+            seq: 1,
+            created_at: SimTime::from_secs(3),
+        };
+        let data = Packet::data(NodeId(0), 512, tag, SsSpstPayload::Data);
+        {
+            let mut ctx = h.ctx(SimTime::from_secs(3), me, my_pos, GroupRole::Member);
+            assert_eq!(agent.on_packet(&mut ctx, &data), Disposition::Consumed);
+        }
+        assert!(h.actions.iter().any(|a| matches!(a, Action::DeliverData { .. })));
+        assert!(h
+            .actions
+            .iter()
+            .any(|a| matches!(a, Action::Broadcast { class: PacketClass::Data, .. })));
+    }
+
+    #[test]
+    fn mst_suppression_backs_off_and_snaps_back_like_ss_spst() {
+        let mut config = SsSpstConfig::paper_default(MetricKind::Hop);
+        config.silence = SilenceConfig::on();
+        let mut h = Harness::with_seed(9);
+        let mut agent = SsSpstAgent::bottleneck(config);
+        {
+            let mut ctx = h.ctx(SimTime::ZERO, NodeId(0), Vec2::ZERO, GroupRole::Source);
+            agent.start(&mut ctx);
+        }
+        for round in 0..6u64 {
+            let mut ctx = h.ctx(
+                SimTime::from_secs(2 * (round + 1)),
+                NodeId(0),
+                Vec2::ZERO,
+                GroupRole::Source,
+            );
+            agent.on_timer(&mut ctx, TIMER_BEACON, 0);
+        }
+        let delay = timer_delay(&h.actions).as_secs_f64();
+        assert!(delay > 10.0, "quiet source backs off, got {delay}");
+        let pkt = Packet::control(
+            NodeId(7),
+            32,
+            SsSpstPayload::Beacon(beacon_with_parent(5.0, 1, Vec2::new(50.0, 0.0), None)),
+        );
+        {
+            let mut ctx = h.ctx(SimTime::from_secs(20), NodeId(0), Vec2::ZERO, GroupRole::Source);
+            agent.on_packet(&mut ctx, &pkt);
+        }
+        assert!(h
+            .actions
+            .iter()
+            .any(|a| matches!(a, Action::CancelTimer { kind: TIMER_BEACON, .. })));
     }
 }

@@ -68,12 +68,6 @@ impl Beacon {
     pub fn advertised_wire_size(&self, kind: MetricKind, advertise_bound: bool) -> u32 {
         self.wire_size(kind) + if advertise_bound { Self::BOUND_FIELD_BYTES } else { 0 }
     }
-
-    /// Distance to the farthest advertised child, excluding `exclude` (the evaluating
-    /// node, when it is already one of the sender's children).
-    pub fn farthest_child_excluding(&self, exclude: NodeId) -> f64 {
-        self.children.iter().filter(|(c, _)| *c != exclude).map(|(_, d)| *d).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -118,14 +112,5 @@ mod tests {
                 b.wire_size(kind) + Beacon::BOUND_FIELD_BYTES
             );
         }
-    }
-
-    #[test]
-    fn farthest_child_excludes_the_asker() {
-        let b = beacon();
-        assert_eq!(b.farthest_child_excluding(NodeId(9)), 120.0);
-        assert_eq!(b.farthest_child_excluding(NodeId(4)), 80.0);
-        let empty = Beacon { children: vec![], ..beacon() };
-        assert_eq!(empty.farthest_child_excluding(NodeId(0)), 0.0);
     }
 }

@@ -92,20 +92,20 @@ impl MetricParams {
 /// The synchronous model fills this in from global knowledge; the event-driven agent fills
 /// it in from `u`'s beacons.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct ParentView {
+pub struct ParentView<'a> {
     /// `u`'s advertised accumulated cost `l(u)`.
     pub cost: f64,
     /// `u`'s advertised hop count.
     pub hop: u32,
     /// Distance from `u` to each of its *current* children, excluding the evaluating node
     /// itself if it is already a child of `u`.
-    pub child_distances: Vec<f64>,
+    pub child_distances: &'a [f64],
     /// Distances from `u` to its non-group neighbours that are not its tree neighbours
     /// (potential overhearers). Only used by [`MetricKind::EnergyAware`].
-    pub non_member_neighbor_distances: Vec<f64>,
+    pub non_member_neighbor_distances: &'a [f64],
 }
 
-impl ParentView {
+impl ParentView<'_> {
     /// Distance to `u`'s farthest current child (0 if it has none).
     pub fn farthest_child(&self) -> f64 {
         self.child_distances.iter().copied().fold(0.0, f64::max)
@@ -122,7 +122,7 @@ impl ParentView {
 pub fn join_overhead(
     kind: MetricKind,
     params: &MetricParams,
-    parent: &ParentView,
+    parent: &ParentView<'_>,
     distance_m: f64,
 ) -> f64 {
     match kind {
@@ -152,7 +152,7 @@ pub fn join_overhead(
 pub fn cost_via(
     kind: MetricKind,
     params: &MetricParams,
-    parent: &ParentView,
+    parent: &ParentView<'_>,
     distance_m: f64,
 ) -> f64 {
     parent.cost + join_overhead(kind, params, parent, distance_m)
@@ -225,8 +225,7 @@ mod tests {
     fn farthest_overhead_is_cheap_inside_existing_range() {
         let p = params();
         // u already reaches a child at 200 m; joining at 100 m costs only one reception.
-        let pv =
-            ParentView { cost: 0.0, hop: 1, child_distances: vec![200.0], ..Default::default() };
+        let pv = ParentView { cost: 0.0, hop: 1, child_distances: &[200.0], ..Default::default() };
         let inside = join_overhead(MetricKind::Farthest, &p, &pv, 100.0);
         assert!((inside - p.rx()).abs() < 1e-15);
         // Joining beyond the current range pays the marginal transmission energy.
@@ -240,12 +239,12 @@ mod tests {
         let p = params();
         // Candidate A: no non-group neighbours. Candidate B: three potential overhearers
         // that a range increase to 150 m would wake up. Same geometry otherwise.
-        let a = ParentView { cost: 1.0, hop: 1, child_distances: vec![50.0], ..Default::default() };
+        let a = ParentView { cost: 1.0, hop: 1, child_distances: &[50.0], ..Default::default() };
         let b = ParentView {
             cost: 1.0,
             hop: 1,
-            child_distances: vec![50.0],
-            non_member_neighbor_distances: vec![60.0, 80.0, 100.0],
+            child_distances: &[50.0],
+            non_member_neighbor_distances: &[60.0, 80.0, 100.0],
         };
         let ca = cost_via(MetricKind::EnergyAware, &p, &a, 150.0);
         let cb = cost_via(MetricKind::EnergyAware, &p, &b, 150.0);
@@ -264,8 +263,8 @@ mod tests {
         let pv = ParentView {
             cost: 0.0,
             hop: 1,
-            child_distances: vec![200.0],
-            non_member_neighbor_distances: vec![50.0, 100.0],
+            child_distances: &[200.0],
+            non_member_neighbor_distances: &[50.0, 100.0],
         };
         let c_e = join_overhead(MetricKind::EnergyAware, &p, &pv, 150.0);
         let c_f = join_overhead(MetricKind::Farthest, &p, &pv, 150.0);
@@ -297,8 +296,8 @@ mod tests {
         let pv = ParentView {
             cost: 0.0,
             hop: 0,
-            child_distances: vec![10.0, 80.0, 40.0],
-            non_member_neighbor_distances: vec![30.0, 90.0],
+            child_distances: &[10.0, 80.0, 40.0],
+            non_member_neighbor_distances: &[30.0, 90.0],
         };
         assert_eq!(pv.farthest_child(), 80.0);
         assert_eq!(pv.overhearers_within(50.0), 1);

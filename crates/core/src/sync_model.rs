@@ -157,16 +157,23 @@ impl SyncModel {
 
     /// What `v` would see about candidate parent `u` through beacons: `u`'s advertised
     /// cost/hop, the distances to `u`'s current children other than `v`, and the distances
-    /// to `u`'s non-member, non-tree neighbours other than `v`.
-    fn parent_view(&self, u: NodeId, v: NodeId) -> ParentView {
+    /// to `u`'s non-member, non-tree neighbours other than `v`. The two distance lists are
+    /// written into the caller's buffers, which the view borrows.
+    fn parent_view<'a>(
+        &self,
+        u: NodeId,
+        v: NodeId,
+        child_distances: &'a mut Vec<f64>,
+        non_member: &'a mut Vec<f64>,
+    ) -> ParentView<'a> {
         let su = self.state[u.index()];
-        let mut child_distances = Vec::new();
+        child_distances.clear();
+        non_member.clear();
         for &(w, d) in self.topo.neighbors(u) {
             if w != v && self.state[w.index()].parent == Some(u) {
                 child_distances.push(d);
             }
         }
-        let mut non_member = Vec::new();
         if self.kind == MetricKind::EnergyAware {
             for &(w, d) in self.topo.neighbors(u) {
                 if w == v || self.topo.is_member(w) {
@@ -197,12 +204,13 @@ impl SyncModel {
         let mut best: Option<(NodeId, f64, u32)> = None;
         let mut via_current: Option<(f64, u32)> = None;
         let current_parent = self.state[v.index()].parent;
+        let (mut child_distances, mut non_member) = (Vec::new(), Vec::new());
         for &(u, d) in self.topo.neighbors(v) {
             let su = self.state[u.index()];
             if su.cost >= self.infinity_cost || su.hop + 1 > self.max_hops {
                 continue;
             }
-            let view = self.parent_view(u, v);
+            let view = self.parent_view(u, v, &mut child_distances, &mut non_member);
             let c = cost_via(self.kind, &self.params, &view, d);
             let h = su.hop + 1;
             if current_parent == Some(u) {

@@ -25,6 +25,6 @@ pub use series::{Series, SeriesPoint};
 pub use silence::{SessionSilence, SilenceStats};
 pub use stats::{energy_per_delivered_byte_uj, SummaryStats};
 pub use streaming::{
-    CurveRing, FixedBinHistogram, MetricsConfig, MetricsMode, P2Quantile, SeqDedup,
-    StreamingConfig, StreamingStats, WindowCell, WindowLedger,
+    CurveRing, FixedBinHistogram, MetricsConfig, MetricsMode, SeqDedup, StreamingConfig,
+    StreamingStats, WindowCell, WindowLedger,
 };

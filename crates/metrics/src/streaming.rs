@@ -8,10 +8,6 @@
 //! * [`FixedBinHistogram`] — integer-count latency histogram with an exact,
 //!   commutative merge and a deterministic ceil-rank quantile that is within one
 //!   bin width of the exact order statistic.
-//! * [`P2Quantile`] — the classic P² single-quantile estimator (Jain & Chlamtac
-//!   1985). O(1) memory but order-*dependent*, so reports never use it for
-//!   shard-merged values; it is kept for online single-stream estimation and
-//!   cross-validated against the histogram in tests.
 //! * [`CurveRing`] — a bounded curve buffer that downsamples by merging adjacent
 //!   sample pairs (keeping the later sample, correct for cumulative/monotone
 //!   curves) whenever the budget fills; the effective sampling stride doubles at
@@ -235,119 +231,6 @@ impl FixedBinHistogram {
     /// Approximate bytes held (data-size lower bound).
     pub fn mem_bytes(&self) -> u64 {
         self.counts.len() as u64 * 8 + 40
-    }
-}
-
-/// The P² single-quantile estimator (Jain & Chlamtac 1985): five markers
-/// tracking the min, the target quantile, the two intermediate quantiles and
-/// the max, adjusted by piecewise-parabolic interpolation. O(1) memory, but the
-/// estimate depends on arrival order, so shard-merged report values never use
-/// it — it exists for online single-stream estimation.
-#[derive(Clone, Debug)]
-pub struct P2Quantile {
-    q: f64,
-    heights: [f64; 5],
-    positions: [f64; 5],
-    desired: [f64; 5],
-    increments: [f64; 5],
-    count: u64,
-}
-
-impl P2Quantile {
-    /// An estimator for the `q`-quantile (`0 < q < 1`).
-    pub fn new(q: f64) -> Self {
-        let q = q.clamp(1e-9, 1.0 - 1e-9);
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [0.0; 5],
-            desired: [0.0; 5],
-            increments: [0.0; 5],
-            count: 0,
-        }
-    }
-
-    /// Feed one observation.
-    pub fn observe(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count as usize] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights.sort_by(f64::total_cmp);
-                self.positions = [1.0, 2.0, 3.0, 4.0, 5.0];
-                let q = self.q;
-                self.desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0];
-                self.increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0];
-            }
-            return;
-        }
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            // heights[0] <= x < heights[4], so a bracketing cell exists.
-            (0..4).find(|&i| x >= self.heights[i] && x < self.heights[i + 1]).unwrap_or(3)
-        };
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(&self.increments) {
-            *d += inc;
-        }
-        self.count += 1;
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let above = self.positions[i + 1] - self.positions[i];
-            let below = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && above > 1.0) || (d <= -1.0 && below < -1.0) {
-                let d = d.signum();
-                let h = self.parabolic(i, d);
-                let h = if self.heights[i - 1] < h && h < self.heights[i + 1] {
-                    h
-                } else {
-                    self.linear(i, d)
-                };
-                self.heights[i] = h;
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + d / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current estimate (exact while fewer than five observations).
-    pub fn value(&self) -> f64 {
-        match self.count {
-            0 => 0.0,
-            n if n < 5 => {
-                let mut seen = self.heights;
-                let seen = &mut seen[..n as usize];
-                seen.sort_by(f64::total_cmp);
-                let rank = ((self.q * n as f64).ceil() as u64).clamp(1, n);
-                seen[(rank - 1) as usize]
-            }
-            _ => self.heights[2],
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 }
 
@@ -660,10 +543,6 @@ mod tests {
             self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             self.0
         }
-
-        fn next_f64(&mut self) -> f64 {
-            (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-        }
     }
 
     fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
@@ -733,38 +612,6 @@ mod tests {
         ba.absorb(&a);
         assert_eq!(ab, whole);
         assert_eq!(ba, whole);
-    }
-
-    #[test]
-    fn p2_tracks_quantiles_of_uniform_stream() {
-        for (q, seed) in [(0.5, 1u64), (0.95, 2)] {
-            let mut rng = Lcg(seed);
-            let mut est = P2Quantile::new(q);
-            let mut samples = Vec::new();
-            for _ in 0..20_000 {
-                let x = rng.next_f64();
-                est.observe(x);
-                samples.push(x);
-            }
-            samples.sort_by(f64::total_cmp);
-            let exact =
-                samples[((q * samples.len() as f64).ceil() as usize - 1).min(samples.len() - 1)];
-            assert!(
-                (est.value() - exact).abs() < 0.02,
-                "q={q}: p2 {} vs exact {exact}",
-                est.value()
-            );
-        }
-    }
-
-    #[test]
-    fn p2_is_exact_below_five_samples() {
-        let mut est = P2Quantile::new(0.5);
-        assert_eq!(est.value(), 0.0);
-        for x in [3.0, 1.0, 2.0] {
-            est.observe(x);
-        }
-        assert_eq!(est.value(), 2.0);
     }
 
     #[test]

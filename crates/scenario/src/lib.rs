@@ -17,7 +17,7 @@
 //!   [`sink::RunSink`].
 //! * [`sink`] — streaming consumers: in-memory, progress lines, incremental CSV and JSON
 //!   Lines, and fan-out.
-//! * [`sweep`] — the sweep result types and metric extractors, plus legacy shims.
+//! * [`mod@sweep`] — the sweep result types and metric extractors, plus legacy shims.
 //! * [`presets`] — one [`presets::FigureId`] per evaluation figure (7–16) with the exact
 //!   swept parameter, x values, protocols and metric; [`presets::run_figure`] regenerates
 //!   any of them (see `EXPERIMENTS.md`).

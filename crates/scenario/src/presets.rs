@@ -501,9 +501,9 @@ pub fn run_figure(id: FigureId, scale: f64, reps: usize) -> FigureResult {
 }
 
 /// Regenerate one figure under an explicit radio medium configuration (position-cache
-/// epoch + neighbour-query mode). With the default [`MediumConfig`] this is identical to
-/// [`run_figure`]; a coarse position epoch trades fidelity for throughput on large
-/// sweeps.
+/// epoch + neighbour-query mode). With the default [`ssmcast_manet::MediumConfig`] this
+/// is identical to [`run_figure`]; a coarse position epoch trades fidelity for
+/// throughput on large sweeps.
 pub fn run_figure_with_medium(
     id: FigureId,
     scale: f64,

@@ -10,8 +10,8 @@
 use crate::scenario::{ProtocolKind, Scenario};
 use ssmcast_baselines::{FloodingAgent, MaodvAgent, MinEnergyAgent, OdmrpAgent};
 use ssmcast_core::{
-    min_energy_tree, MetricKind, MetricParams, MulticastTopology, SsMstAgent, SsMstConfig,
-    SsSpstAgent, SsSpstConfig, StabilizationProbe,
+    min_energy_tree, MetricKind, MetricParams, MulticastTopology, SsSpstAgent, SsSpstConfig,
+    StabilizationProbe,
 };
 use ssmcast_dessim::{SimDuration, SimTime};
 use ssmcast_manet::{
@@ -204,12 +204,7 @@ impl ProtocolKind {
             )),
             ProtocolKind::SsMst => {
                 Arc::new(FnProtocol::from_agent_fn("SS-MST", |scenario: &Scenario, _node| {
-                    SsMstAgent::new(SsMstConfig {
-                        silence: scenario.silence,
-                        ..SsMstConfig::with_beacon_interval(SimDuration::from_secs_f64(
-                            scenario.beacon_interval_s,
-                        ))
-                    })
+                    SsSpstAgent::bottleneck(ss_spst_config(scenario, MetricKind::Hop))
                 }))
             }
             ProtocolKind::Maodv => {
